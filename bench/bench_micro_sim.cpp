@@ -90,12 +90,12 @@ const MixedCorpus& mixed_corpus() {
   return kCorpus;
 }
 
-/// A job batch over the mixed corpus: every benchmark on the packed ART-9
-/// engine and on the rv32 reference engine.  Returns retired instructions.
+/// A job batch over the mixed corpus: every benchmark on the superblock
+/// ART-9 engine and on the rv32 reference engine.  Returns retired instructions.
 uint64_t run_mixed_batch(unsigned threads) {
   const MixedCorpus& corpus = mixed_corpus();
   sim::SimulationService service(threads);
-  for (const auto& image : corpus.art9) service.add(image, sim::EngineKind::kPacked);
+  for (const auto& image : corpus.art9) service.add(image, sim::EngineKind::kSuperblock);
   for (const auto& image : corpus.rv32) service.add(image, sim::EngineKind::kRv32);
   uint64_t instructions = 0;
   for (const sim::JobResult& r : service.run_all()) instructions += r.run.stats.instructions;
@@ -117,12 +117,12 @@ void BM_Engine(benchmark::State& state, sim::EngineKind kind) {
 }
 
 void BM_SimulationServiceDhrystone8(benchmark::State& state, unsigned threads) {
-  // 8 Dhrystone scenarios sharing one decoded image, packed engines,
+  // 8 Dhrystone scenarios sharing one decoded image, superblock engines,
   // scheduled across `threads` workers.
   uint64_t instructions = 0;
   for (auto _ : state) {
     sim::SimulationService service(threads);
-    for (int i = 0; i < 8; ++i) service.add(dhrystone_image(), sim::EngineKind::kPacked);
+    for (int i = 0; i < 8; ++i) service.add(dhrystone_image(), sim::EngineKind::kSuperblock);
     for (const sim::JobResult& r : service.run_all()) instructions += r.run.stats.instructions;
   }
   state.counters["steps/s"] =
@@ -130,7 +130,7 @@ void BM_SimulationServiceDhrystone8(benchmark::State& state, unsigned threads) {
 }
 
 void BM_SimulationServiceMixedISA(benchmark::State& state, unsigned threads) {
-  // The cross-ISA batch: all four benchmarks, each as a packed ART-9
+  // The cross-ISA batch: all four benchmarks, each as a superblock ART-9
   // translation job and an rv32 reference job, across `threads` workers.
   uint64_t instructions = 0;
   for (auto _ : state) instructions += run_mixed_batch(threads);
@@ -241,7 +241,7 @@ double cohort_jobs_rate(unsigned threads, int jobs) {
 double batch_rate(unsigned threads, int jobs) {
   return bench::median_rate([&] {
     sim::SimulationService service(threads);
-    for (int i = 0; i < jobs; ++i) service.add(dhrystone_image(), sim::EngineKind::kPacked);
+    for (int i = 0; i < jobs; ++i) service.add(dhrystone_image(), sim::EngineKind::kSuperblock);
     uint64_t instructions = 0;
     for (const sim::JobResult& r : service.run_all()) instructions += r.run.stats.instructions;
     return instructions;
@@ -260,7 +260,7 @@ double checkpointed_rate(uint64_t every) {
     sim::JobControls controls;
     controls.checkpoint_every = every;
     const sim::JobHandle handle =
-        service.submit(dhrystone_image(), sim::EngineKind::kPacked, {}, controls);
+        service.submit(dhrystone_image(), sim::EngineKind::kSuperblock, {}, controls);
     return handle.result().run.stats.instructions;
   });
 }
@@ -276,7 +276,7 @@ double cancel_latency_seconds() {
   for (int i = 0; i < 5; ++i) {
     sim::SimulationService service(1);
     sim::JobHandle handle =
-        service.submit(spin, sim::EngineKind::kPacked, sim::RunOptions{1'000'000'000'000});
+        service.submit(spin, sim::EngineKind::kSuperblock, sim::RunOptions{1'000'000'000'000});
     while (!handle.started()) std::this_thread::yield();
     const clock::time_point t0 = clock::now();
     handle.cancel();
@@ -351,29 +351,23 @@ int run_json_report(const std::string& path) {
   bench::heading("engine steps/s — translated Dhrystone (single stream)");
   const double lazy = engine_rate(sim::EngineKind::kLazy);
   const double predecoded = engine_rate(sim::EngineKind::kFunctional);
-  const double packed = engine_rate(sim::EngineKind::kPacked);
   const double superblock = engine_rate(sim::EngineKind::kSuperblock);
   const double pipeline = engine_rate(sim::EngineKind::kPipeline);
   const double pipeline_packed = engine_rate(sim::EngineKind::kPackedPipeline);
   bench::note("lazy decode-on-fetch:   " + std::to_string(lazy / 1e6) + " M steps/s");
   bench::note("pre-decoded dispatch:   " + std::to_string(predecoded / 1e6) + " M steps/s");
-  bench::note("plane-packed SWAR:      " + std::to_string(packed / 1e6) + " M steps/s");
   bench::note("superblock tier:        " + std::to_string(superblock / 1e6) + " M steps/s");
   bench::note("pipeline (cycles/s):    " + std::to_string(pipeline / 1e6) + " M steps/s");
   bench::note("packed pipeline:        " + std::to_string(pipeline_packed / 1e6) + " M steps/s");
-  bench::note("packed / pre-decoded:   x" + std::to_string(packed / predecoded));
-  bench::note("superblock / packed:    x" + std::to_string(superblock / packed));
+  bench::note("superblock / predec:    x" + std::to_string(superblock / predecoded));
   bench::note("packed pipe / pipe:     x" + std::to_string(pipeline_packed / pipeline));
 
   bench::heading("rv32 engine steps/s — source Dhrystone (single stream)");
   const double rv32_predecoded = engine_rate(sim::EngineKind::kRv32);
   const double rv32_superblock = engine_rate(sim::EngineKind::kRv32Superblock);
-  const double rv32_packed = engine_rate(sim::EngineKind::kRv32Packed);
   bench::note("rv32 pre-decoded:       " + std::to_string(rv32_predecoded / 1e6) + " M steps/s");
   bench::note("rv32 superblock:        " + std::to_string(rv32_superblock / 1e6) + " M steps/s");
-  bench::note("rv32 packed (21-trit):  " + std::to_string(rv32_packed / 1e6) + " M steps/s");
   bench::note("rv32 superblk / predec: x" + std::to_string(rv32_superblock / rv32_predecoded));
-  bench::note("rv32 packed / predec:   x" + std::to_string(rv32_packed / rv32_predecoded));
 
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
 
@@ -386,13 +380,12 @@ int run_json_report(const std::string& path) {
   bench::note("fleet (1 lane):         " + std::to_string(fleet_single / 1e6) + " M steps/s");
   bench::note("fleet (" + std::to_string(kFleetLanes) +
               " lanes, aggregate): " + std::to_string(fleet / 1e6) + " M steps/s");
-  bench::note("fleet / packed:         x" + std::to_string(packed > 0.0 ? fleet / packed : 0.0));
   bench::note("fleet / superblock:     x" +
               std::to_string(superblock > 0.0 ? fleet / superblock : 0.0));
   bench::note("cohort round trips:     " + std::to_string(cohort_jobs) + " jobs/s (" +
               std::to_string(kCohortJobs) + " Dhrystones via run_all packing)");
 
-  bench::heading("batch_parallel — SimulationService, 8 packed Dhrystone jobs");
+  bench::heading("batch_parallel — SimulationService, 8 superblock Dhrystone jobs");
   constexpr int kJobs = 8;
   const double batch1 = batch_rate(1, kJobs);
   const double batch2 = batch_rate(2, kJobs);
@@ -403,7 +396,7 @@ int run_json_report(const std::string& path) {
               " M steps/s");
   bench::note("scaling (max vs 1):     x" + std::to_string(batch1 > 0.0 ? batchN / batch1 : 0.0));
 
-  bench::heading("mixed_isa_batch — 4 benchmarks x (packed ART-9 + rv32), 8 jobs");
+  bench::heading("mixed_isa_batch — 4 benchmarks x (superblock ART-9 + rv32), 8 jobs");
   const double mixed1 = mixed_batch_rate(1);
   const double mixedN = hw > 1 ? mixed_batch_rate(hw) : mixed1;
   bench::note("threads=1:              " + std::to_string(mixed1 / 1e6) + " M steps/s");
@@ -443,31 +436,26 @@ int run_json_report(const std::string& path) {
   json.add("metric", "steps_per_sec_median_of_5");
   json.add("lazy_steps_per_sec", lazy);
   json.add("predecoded_steps_per_sec", predecoded);
-  json.add("packed_steps_per_sec", packed);
   json.add("superblock_steps_per_sec", superblock);
   json.add("pipeline_cycles_per_sec", pipeline);
   json.add("pipeline_packed_cycles_per_sec", pipeline_packed);
-  json.add("packed_vs_predecoded", predecoded > 0.0 ? packed / predecoded : 0.0);
   json.add("predecoded_vs_lazy", lazy > 0.0 ? predecoded / lazy : 0.0);
-  json.add("superblock_vs_packed", packed > 0.0 ? superblock / packed : 0.0);
   json.add("pipeline_packed_vs_pipeline", pipeline > 0.0 ? pipeline_packed / pipeline : 0.0);
   json.add("rv32_predecoded_steps_per_sec", rv32_predecoded);
   json.add("rv32_superblock_steps_per_sec", rv32_superblock);
-  json.add("rv32_packed_steps_per_sec", rv32_packed);
   json.add("rv32_superblock_vs_predecoded",
            rv32_predecoded > 0.0 ? rv32_superblock / rv32_predecoded : 0.0);
-  json.add("rv32_packed_vs_predecoded",
-           rv32_predecoded > 0.0 ? rv32_packed / rv32_predecoded : 0.0);
   json.add("host_hw_concurrency", static_cast<double>(hw));
+  json.add("host_compiler", ART9_BENCH_COMPILER);
+  json.add("host_build_type", ART9_BENCH_BUILD_TYPE);
   json.add("fleet_lanes", static_cast<double>(kFleetLanes));
   json.add("fleet_steps_per_sec", fleet);
   json.add("fleet_single_lane_steps_per_sec", fleet_single);
-  json.add("fleet_vs_packed", packed > 0.0 ? fleet / packed : 0.0);
   json.add("fleet_vs_superblock", superblock > 0.0 ? fleet / superblock : 0.0);
   json.add("cohort_jobs", static_cast<double>(kCohortJobs));
   json.add("cohort_jobs_per_sec", cohort_jobs);
   json.add("batch_parallel_jobs", static_cast<double>(kJobs));
-  json.add("batch_parallel_engine", "packed");
+  json.add("batch_parallel_engine", "superblock");
   json.add("batch_threads_1_steps_per_sec", batch1);
   json.add("batch_threads_2_steps_per_sec", batch2);
   json.add("batch_threads_max", static_cast<double>(hw));

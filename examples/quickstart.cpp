@@ -40,7 +40,7 @@ loop:
   // One decoded image, shared by every engine.
   const std::shared_ptr<const sim::DecodedImage> image = sim::decode(program);
 
-  // Same program, same API, five ART-9 backends.
+  // Same program, same API, every ART-9 backend.
   std::printf("%-16s %14s %12s %8s\n", "engine", "instructions", "cycles", "sum");
   for (sim::EngineKind kind : sim::art9_engine_kinds()) {
     std::unique_ptr<sim::Engine> engine = sim::make_engine(kind, image);
@@ -53,8 +53,7 @@ loop:
   }
 
   // The same computation as RV32 assembly on the rv32 kinds — the binary
-  // baseline behind the same facade (rv32_packed holds every value as a
-  // 21-trit plane pair).
+  // baseline behind the same facade.
   const rv32::Rv32Program rv_program = rv32::assemble_rv32(R"(
     li   a0, 100      # counter
     li   a1, 0        # sum
@@ -74,7 +73,7 @@ loop:
   }
 
   // The retired-instruction observer: count taken loop iterations.
-  std::unique_ptr<sim::Engine> observed = sim::make_engine(sim::EngineKind::kPacked, image);
+  std::unique_ptr<sim::Engine> observed = sim::make_engine(sim::EngineKind::kSuperblock, image);
   uint64_t branches = 0;
   observed->set_observer([&](const sim::Retired& r) {
     if (r.art9().op == isa::Opcode::kBne) ++branches;
@@ -82,7 +81,7 @@ loop:
   const sim::RunResult r = observed->run({});
   std::printf("\nsum(1..100)   = %lld (expected 5050)\n",
               static_cast<long long>(r.state.art9().trf.read(2).to_int()));
-  std::printf("loop branches = %llu (observer on the packed engine)\n",
+  std::printf("loop branches = %llu (observer on the superblock engine)\n",
               static_cast<unsigned long long>(branches));
 
   // The pipeline engine also carries the microarchitectural accounting.

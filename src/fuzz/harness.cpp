@@ -115,6 +115,17 @@ std::optional<std::string> diff_streams(const std::vector<Event>& got,
   return std::nullopt;
 }
 
+/// Every ART-9 kind held to full parity with the lazy reference at an
+/// arbitrary budget: all but the reference itself and the cycle-accurate
+/// pipelines (whose step is a clock; they are compared at halt).
+std::vector<sim::EngineKind> functional_art9_kinds() {
+  std::vector<sim::EngineKind> kinds;
+  for (sim::EngineKind kind : sim::art9_engine_kinds()) {
+    if (kind != sim::EngineKind::kLazy && !sim::is_cycle_accurate(kind)) kinds.push_back(kind);
+  }
+  return kinds;
+}
+
 /// Full-parity comparison for two functional ART-9 outcomes: identical
 /// traps, or identical SimStats + MachineState + observer stream.
 std::optional<std::string> diff_art9_functional(const Art9Outcome& got, const Art9Outcome& want) {
@@ -215,8 +226,7 @@ std::optional<std::string> check_art9_case(ByteReader& in) {
 
   // Functional kinds against the lazy reference at the randomized budget.
   const Art9Outcome reference = run_art9(sim::EngineKind::kLazy, image, budget);
-  for (sim::EngineKind kind :
-       {sim::EngineKind::kFunctional, sim::EngineKind::kPacked, sim::EngineKind::kSuperblock}) {
+  for (sim::EngineKind kind : functional_art9_kinds()) {
     if (auto d = diff_art9_functional(run_art9(kind, image, budget), reference)) {
       return std::string(sim::engine_kind_name(kind)) + " vs lazy: " + *d + " (" + tag.str() + ")";
     }
@@ -475,8 +485,7 @@ std::optional<std::string> check_raw_case(ByteReader& in) {
   // outcome, but it must be byte-identical across the functional kinds.
   const std::shared_ptr<const sim::DecodedImage> image = sim::decode(program);
   const Art9Outcome reference = run_art9(sim::EngineKind::kLazy, image, budget);
-  for (sim::EngineKind kind :
-       {sim::EngineKind::kFunctional, sim::EngineKind::kPacked, sim::EngineKind::kSuperblock}) {
+  for (sim::EngineKind kind : functional_art9_kinds()) {
     if (auto d = diff_art9_functional(run_art9(kind, image, budget), reference)) {
       return std::string(sim::engine_kind_name(kind)) + " vs lazy: " + *d + " (" + tag.str() + ")";
     }

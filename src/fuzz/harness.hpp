@@ -1,4 +1,4 @@
-// Coverage-guided differential fuzz harness over the 7-engine facade.
+// Coverage-guided differential fuzz harness over the engine facade.
 //
 // One byte string decodes into one differential test case: a mode
 // selector, a generator seed, budget/option bits, and (for the raw mode)
@@ -6,7 +6,7 @@
 // conformant backend pair and demands full parity:
 //
 //   * mode 0 — ART-9 progen: a random always-halting ART-9 program runs
-//     on all five ART-9 kinds against the lazy (seed-loop) reference —
+//     on every other ART-9 kind against the lazy (seed-loop) reference —
 //     MachineState, SimStats and retired-instruction observer streams at
 //     a randomized budget for the functional kinds; architectural state,
 //     retire count and stream at halt for the pipeline kinds — plus a
@@ -21,9 +21,10 @@
 //     fuzz-chosen ART-9 kind) against the rv32-native run through the
 //     register-location map and the memory-slot correspondence.
 //   * mode 3 — raw instruction words: arbitrary (valid-range) ART-9
-//     instructions with wild control flow, run on the three functional
-//     kinds under a small budget — outcome parity includes *traps*: all
-//     kinds must throw the same error text, or none.
+//     instructions with wild control flow, run on every functional
+//     ART-9 kind (fleet included) under a small budget — outcome parity
+//     includes *traps*: all kinds must throw the same error text, or
+//     none.
 //   * mode 4 — snapshot codec: serialize a genuine checkpoint of a
 //     fuzz-chosen ISA/kind/split, mutate the blob (bit flips, truncation,
 //     checksum-re-stamped structural edits, wholly forged bytes), and

@@ -1,24 +1,17 @@
-// Shared execution core of the pre-decoded RV32 backends — the same
-// design move as sim::detail::PipelineModel: one copy of the per-opcode
-// control logic, templated over a Datapath that decides how architectural
-// values are *stored* (host uint32_t arrays for the reference model,
-// ternary plane pairs for PackedRv32Simulator).
-//
-// A Datapath provides:
-//   uint32_t read(unsigned reg) const;           // register read, x0 reads 0
-//   void write(unsigned reg, uint32_t value);    // register write, x0 guarded
-//   uint32_t load(uint32_t address, uint32_t size);            // LE bytes
-//   void store(uint32_t address, uint32_t value, uint32_t size);
-//
-// Both instantiations execute the identical u32-domain semantics, so the
-// packed backend differs from the reference only in representation — the
-// property the conformance suites lock.
+// Shared execution core of the pre-decoded RV32 backends: the one copy of
+// the per-opcode semantics, on the host datapath (uint32_t registers and
+// a byte RAM).  Rv32Simulator::step() and its native loop, and the
+// superblock tier's block bodies and terminators, all execute through
+// execute_rv32.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "rv32/rv32_decoded_image.hpp"
+#include "rv32/rv32_sim.hpp"
 
 namespace art9::rv32::detail {
 
@@ -31,20 +24,22 @@ namespace art9::rv32::detail {
 #define ART9_RV32_FORCE_INLINE inline
 #endif
 
-/// Executes one pre-decoded instruction on `dp`.  On entry `next_pc` /
-/// `next_row` carry the sequential successor; control flow overwrites
-/// them.  Returns false when ECALL/EBREAK retires (halt convention).
-/// Throws Rv32SimError on the trap row (`pc` names the faulting address)
-/// and on out-of-range memory traffic.
-template <class Datapath>
-ART9_RV32_FORCE_INLINE bool execute_rv32(Datapath& dp, const Rv32DecodedImage& image,
-                                         const Rv32DecodedOp& op, uint32_t pc, uint32_t& next_pc,
-                                         uint32_t& next_row, bool& taken) {
-  auto rs1 = [&] { return dp.read(op.rs1); };
-  auto rs2 = [&] { return dp.read(op.rs2); };
+/// Executes one pre-decoded instruction on `regs` / `ram`.  On entry
+/// `next_pc` / `next_row` carry the sequential successor; control flow
+/// overwrites them.  Returns false when ECALL/EBREAK retires (halt
+/// convention).  Throws Rv32SimError on the trap row (`pc` names the
+/// faulting address) and on out-of-range memory traffic.
+ART9_RV32_FORCE_INLINE bool execute_rv32(std::array<uint32_t, 32>& regs, std::vector<uint8_t>& ram,
+                                         const Rv32DecodedImage& image, const Rv32DecodedOp& op,
+                                         uint32_t pc, uint32_t& next_pc, uint32_t& next_row,
+                                         bool& taken) {
+  auto rs1 = [&] { return regs[op.rs1]; };
+  auto rs2 = [&] { return regs[op.rs2]; };
   auto s1 = [&] { return static_cast<int32_t>(rs1()); };
   auto s2 = [&] { return static_cast<int32_t>(rs2()); };
-  auto wr = [&](uint32_t v) { dp.write(op.rd, v); };
+  auto wr = [&](uint32_t v) {
+    if (op.rd != 0) regs[op.rd] = v;
+  };
   auto branch = [&](bool condition) {
     taken = condition;
     if (condition) {
@@ -94,32 +89,32 @@ ART9_RV32_FORCE_INLINE bool execute_rv32(Datapath& dp, const Rv32DecodedImage& i
       branch(rs1() >= rs2());
       break;
     case Rv32Dispatch::kLb: {
-      const uint32_t b = dp.load(rs1() + imm, 1);
+      const uint32_t b = ram_load(ram, rs1() + imm, 1, "load");
       wr(static_cast<uint32_t>(static_cast<int32_t>(b << 24) >> 24));
       break;
     }
     case Rv32Dispatch::kLh: {
-      const uint32_t h = dp.load(rs1() + imm, 2);
+      const uint32_t h = ram_load(ram, rs1() + imm, 2, "load");
       wr(static_cast<uint32_t>(static_cast<int32_t>(h << 16) >> 16));
       break;
     }
     case Rv32Dispatch::kLw:
-      wr(dp.load(rs1() + imm, 4));
+      wr(ram_load(ram, rs1() + imm, 4, "load"));
       break;
     case Rv32Dispatch::kLbu:
-      wr(dp.load(rs1() + imm, 1));
+      wr(ram_load(ram, rs1() + imm, 1, "load"));
       break;
     case Rv32Dispatch::kLhu:
-      wr(dp.load(rs1() + imm, 2));
+      wr(ram_load(ram, rs1() + imm, 2, "load"));
       break;
     case Rv32Dispatch::kSb:
-      dp.store(rs1() + imm, rs2(), 1);
+      ram_store(ram, rs1() + imm, rs2(), 1, "store");
       break;
     case Rv32Dispatch::kSh:
-      dp.store(rs1() + imm, rs2(), 2);
+      ram_store(ram, rs1() + imm, rs2(), 2, "store");
       break;
     case Rv32Dispatch::kSw:
-      dp.store(rs1() + imm, rs2(), 4);
+      ram_store(ram, rs1() + imm, rs2(), 4, "store");
       break;
     case Rv32Dispatch::kAddi:
       wr(rs1() + imm);

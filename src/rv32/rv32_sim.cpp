@@ -7,11 +7,10 @@
 
 namespace art9::rv32 {
 
-// ram_load/ram_store/HostDatapath live in rv32_sim.hpp's detail namespace
-// (shared with the superblock backend).
+// ram_load/ram_store live in rv32_sim.hpp's detail namespace (shared
+// with execute_rv32).
 using detail::ram_load;
 using detail::ram_store;
-using detail::HostDatapath;
 
 // ---------------------------------------------------------------------------
 // Rv32Simulator — the pre-decoded reference model.
@@ -51,8 +50,7 @@ bool Rv32Simulator::step() {
   uint32_t next_row = op.next_row;
   bool taken = false;
 
-  HostDatapath dp{regs_, ram_};
-  if (!detail::execute_rv32(dp, *image_, op, pc, next_pc, next_row, taken)) {
+  if (!detail::execute_rv32(regs_, ram_, *image_, op, pc, next_pc, next_row, taken)) {
     if (observer_) observer_(Rv32Retired{image_->instruction(row), pc, false});
     return false;  // halt convention
   }
@@ -66,31 +64,33 @@ bool Rv32Simulator::step() {
 Rv32RunStats Rv32Simulator::run(uint64_t max_instructions, const Observer& observer) {
   const detail::ScopedObserver scope(observer_, observer);
   Rv32RunStats stats;
-  if (observer_) {
-    // Instrumented loop: one observer call per retire, via step().
-    while (stats.instructions < max_instructions) {
-      if (!step()) {
-        stats.halted = true;
-        break;
-      }
-      ++stats.instructions;
+  if (!observer_) run_native(stats, max_instructions);
+  // Instrumented loop (one observer call per retire, via step()), and the
+  // exact per-instruction tail of a native loop that stopped short.
+  while (!stats.halted && stats.instructions < max_instructions) {
+    if (!step()) {
+      stats.halted = true;
+      break;
     }
-    return stats;
+    ++stats.instructions;
   }
-  // Native hot loop: position lives in registers; pc_/row_ are committed
-  // only at exit (including the trap path, so a fault leaves the
-  // architectural pc on the faulting address exactly like step()).
+  return stats;
+}
+
+void Rv32Simulator::run_native(Rv32RunStats& stats, uint64_t max_instructions) {
+  // Position lives in registers; pc_/row_ are committed only at exit
+  // (including the trap path, so a fault leaves the architectural pc on
+  // the faulting address exactly like step()).
   uint32_t pc = pc_;
   uint32_t row = row_;
   const Rv32DecodedOp* const rows = rows_;
-  HostDatapath dp{regs_, ram_};
   try {
     while (stats.instructions < max_instructions) {
       const Rv32DecodedOp& op = rows[row];
       uint32_t next_pc = op.next_pc;
       uint32_t next_row = op.next_row;
       bool taken = false;
-      if (!detail::execute_rv32(dp, *image_, op, pc, next_pc, next_row, taken)) {
+      if (!detail::execute_rv32(regs_, ram_, *image_, op, pc, next_pc, next_row, taken)) {
         stats.halted = true;
         break;
       }
@@ -105,7 +105,6 @@ Rv32RunStats Rv32Simulator::run(uint64_t max_instructions, const Observer& obser
   }
   pc_ = pc;
   row_ = row;
-  return stats;
 }
 
 // ---------------------------------------------------------------------------

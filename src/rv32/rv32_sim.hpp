@@ -9,12 +9,11 @@
 //  * Rv32Simulator — the reference model, rebuilt on an eagerly
 //    pre-decoded Rv32DecodedImage: dispatch is one dense-kind switch with
 //    precomputed PC chains (see rv32_decoded_image.hpp), and any number
-//    of instances can share one immutable image across threads.
+//    of instances can share one immutable image across threads.  The
+//    superblock tier (rv32_superblock.hpp) derives from it and replaces
+//    only the unobserved hot loop.
 //  * LazyRv32Simulator — the seed decode-on-fetch loop (range check,
 //    modulo and divide per fetch), kept as the differential baseline.
-//
-// A third backend, PackedRv32Simulator (packed_rv32_sim.hpp), runs the
-// same ISA with its registers and data memory held as ternary plane pairs.
 #pragma once
 
 #include <array>
@@ -84,25 +83,6 @@ inline void ram_store(std::vector<uint8_t>& ram, uint32_t address, uint32_t valu
   for (uint32_t i = 0; i < size; ++i) ram[address + i] = static_cast<uint8_t>(value >> (8 * i));
 }
 
-/// The reference datapath: host uint32_t registers and a byte RAM.
-/// Shared by Rv32Simulator and the superblock backend, so both dispatch
-/// loops execute through the same execute_rv32 semantics.
-struct HostDatapath {
-  std::array<uint32_t, 32>& regs;
-  std::vector<uint8_t>& ram;
-
-  [[nodiscard]] uint32_t read(unsigned reg) const { return regs[reg]; }
-  void write(unsigned reg, uint32_t value) {
-    if (reg != 0) regs[reg] = value;
-  }
-  [[nodiscard]] uint32_t load(uint32_t address, uint32_t size) const {
-    return ram_load(ram, address, size, "load");
-  }
-  void store(uint32_t address, uint32_t value, uint32_t size) {
-    ram_store(ram, address, value, size, "store");
-  }
-};
-
 /// Installs a scoped run() observer over `slot`, restoring whatever
 /// observer was previously installed (exception-safe) — so a temporary
 /// per-run observer never clobbers one set via set_observer().
@@ -148,10 +128,12 @@ class Rv32Simulator {
   /// sees every retired instruction, the halting ECALL/EBREAK included.
   bool step();
 
-  /// Runs until halt or `max_instructions` (the halting ECALL/EBREAK is
-  /// not counted, matching the ART-9 convention of the halt pseudo-op
-  /// never retiring).  A non-empty `observer` is installed for this run
-  /// only; otherwise any observer set via set_observer stays active.
+  /// Runs until halt or `max_instructions` — exactly (the halting
+  /// ECALL/EBREAK is not counted, matching the ART-9 convention of the
+  /// halt pseudo-op never retiring).  A non-empty `observer` is installed
+  /// for this run only; otherwise any observer set via set_observer stays
+  /// active.  While an observer is installed the whole run goes through
+  /// step(), so the retire stream is the same on every run loop.
   Rv32RunStats run(uint64_t max_instructions = 100'000'000, const Observer& observer = {});
 
   /// Streams every retired instruction to `observer` (empty to remove).
@@ -185,8 +167,13 @@ class Rv32Simulator {
   /// The shared pre-decoded image this simulator executes.
   [[nodiscard]] const Rv32DecodedImage& image() const noexcept { return *image_; }
 
- private:
-  [[nodiscard]] uint32_t ram_at(uint32_t address, uint32_t size) const;
+ protected:
+  /// The unobserved hot loop: runs from the current position, adding to
+  /// `stats`, until halt or the budget.  It may stop short of the budget
+  /// (a block-chained loop whose next block no longer fits); run() steps
+  /// the rest exactly.  Commits pc_/row_ at every exit, the trap path
+  /// included.
+  virtual void run_native(Rv32RunStats& stats, uint64_t max_instructions);
 
   std::shared_ptr<const Rv32DecodedImage> image_;
   // Raw row-table base, cached so the hot loop chases one pointer
@@ -199,6 +186,9 @@ class Rv32Simulator {
   // static control flow chase precomputed row links instead of dividing.
   uint32_t row_ = 0;
   Observer observer_;
+
+ private:
+  [[nodiscard]] uint32_t ram_at(uint32_t address, uint32_t size) const;
 };
 
 /// The seed's decode-on-fetch rv32 loop: per-fetch range check, modulo

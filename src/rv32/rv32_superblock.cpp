@@ -164,67 +164,19 @@ Rv32SuperblockSimulator::Rv32SuperblockSimulator(const Rv32Program& program, std
 
 Rv32SuperblockSimulator::Rv32SuperblockSimulator(std::shared_ptr<const Rv32DecodedImage> image,
                                                  std::size_t ram_bytes)
-    : image_(std::move(image)), ram_(ram_bytes, 0) {
-  if (!image_) throw Rv32SimError("Rv32SuperblockSimulator: null image");
-  rows_ = image_->rows_data();
-  plan_ = &image_->superblocks();
-  pc_ = image_->entry();
-  row_ = image_->row_of(pc_);
-  for (const Rv32DataWord& d : image_->program().data) {
-    detail::ram_store(ram_, d.address, d.value, 4, "store");
-  }
-}
+    : Rv32Simulator(std::move(image), ram_bytes), plan_(&image_->superblocks()) {}
 
-// The per-instruction slow path: observed runs and partial-block tails,
-// kept in lock-step with Rv32Simulator::step() (the differential suite
-// runs both).
-bool Rv32SuperblockSimulator::step() {
-  const uint32_t row = row_;
-  const Rv32DecodedOp& op = rows_[row];
-  const uint32_t pc = pc_;
-  uint32_t next_pc = op.next_pc;
-  uint32_t next_row = op.next_row;
-  bool taken = false;
-
-  detail::HostDatapath dp{regs_, ram_};
-  if (!detail::execute_rv32(dp, *image_, op, pc, next_pc, next_row, taken)) {
-    if (observer_) observer_(Rv32Retired{image_->instruction(row), pc, false});
-    return false;  // halt convention
-  }
-
-  pc_ = next_pc;
-  row_ = next_row;
-  if (observer_) observer_(Rv32Retired{image_->instruction(row), pc, taken});
-  return true;
-}
-
-Rv32RunStats Rv32SuperblockSimulator::run(uint64_t max_instructions, const Observer& observer) {
-  const detail::ScopedObserver scope(observer_, observer);
-  Rv32RunStats stats;
-  if (observer_) {
-    // Instrumented loop: one observer call per retire, via step() — the
-    // retire stream is bit-identical to the reference model's.
-    while (stats.instructions < max_instructions) {
-      if (!step()) {
-        stats.halted = true;
-        break;
-      }
-      ++stats.instructions;
-    }
-    return stats;
-  }
-
-  // Block-chained hot loop: position lives in registers, the budget is
-  // checked per block, retires are committed per block.  pc_/row_ are
-  // committed only at exit — including the trap path, where cur_pc names
-  // the faulting instruction exactly like the reference model.
+void Rv32SuperblockSimulator::run_native(Rv32RunStats& stats, uint64_t max_instructions) {
+  // Position lives in registers, the budget is checked per block, retires
+  // are committed per block.  pc_/row_ are committed only at exit —
+  // including the trap path, where cur_pc names the faulting instruction
+  // exactly like the reference model.
   const Rv32Superblock* const blocks = plan_->blocks.data();
   const Rv32SuperOp* const ops = plan_->ops.data();
   const Rv32DecodedOp* const rows = rows_;
   uint32_t pc = pc_;
   uint32_t row = row_;
   uint32_t cur_pc = pc;
-  detail::HostDatapath dp{regs_, ram_};
   try {
     while (stats.instructions < max_instructions) {
       const Rv32Superblock& blk = blocks[row];
@@ -239,11 +191,11 @@ Rv32RunStats Rv32SuperblockSimulator::run(uint64_t max_instructions, const Obser
       bool dt = false;
       for (; op != end; ++op) {
         cur_pc = op->pc;
-        detail::execute_rv32(dp, *image_, op->op, op->pc, dnp, dnr, dt);
+        detail::execute_rv32(regs_, ram_, *image_, op->op, op->pc, dnp, dnr, dt);
         if (op->pair) {
           ++op;  // fused load+op tail: same dispatch iteration
           cur_pc = op->pc;
-          detail::execute_rv32(dp, *image_, op->op, op->pc, dnp, dnr, dt);
+          detail::execute_rv32(regs_, ram_, *image_, op->op, op->pc, dnp, dnr, dt);
         }
       }
 
@@ -290,7 +242,7 @@ Rv32RunStats Rv32SuperblockSimulator::run(uint64_t max_instructions, const Obser
           uint32_t npc = top.next_pc;
           uint32_t nrow = top.next_row;
           bool tk = false;
-          if (!detail::execute_rv32(dp, *image_, top, tpc, npc, nrow, tk)) {
+          if (!detail::execute_rv32(regs_, ram_, *image_, top, tpc, npc, nrow, tk)) {
             // Halting ECALL/EBREAK: never counted, pc rests on it.
             stats.instructions += blk.retires;
             stats.halted = true;
@@ -313,17 +265,6 @@ Rv32RunStats Rv32SuperblockSimulator::run(uint64_t max_instructions, const Obser
   }
   pc_ = pc;
   row_ = row;
-
-  // Partial-block tail, stepped exactly (fused intermediate states
-  // included) — what keeps tiny budgets bit-identical to the reference.
-  while (!stats.halted && stats.instructions < max_instructions) {
-    if (!step()) {
-      stats.halted = true;
-      break;
-    }
-    ++stats.instructions;
-  }
-  return stats;
 }
 
 }  // namespace art9::rv32

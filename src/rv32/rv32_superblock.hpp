@@ -30,9 +30,7 @@
 // tiny-budget contract bit-identical to Rv32Simulator.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -92,14 +90,13 @@ struct Rv32SuperblockPlan {
   uint32_t fused_load_op = 0;
 };
 
-/// The rv32 superblock execution backend.  Architectural state and
-/// semantics are identical to Rv32Simulator (both execute through
-/// detail::execute_rv32 on a host datapath); only the run loop differs —
-/// locked by the conformance suite and tests/sim/superblock_test.cpp.
-class Rv32SuperblockSimulator {
+/// The rv32 superblock execution backend: Rv32Simulator's state,
+/// step(), observed runs, accessors and restore, with the unobserved hot
+/// loop replaced by block-chained dispatch over the image's plan.
+/// Bit-identical to Rv32Simulator — locked by the conformance suite and
+/// tests/sim/superblock_test.cpp.
+class Rv32SuperblockSimulator final : public Rv32Simulator {
  public:
-  using Observer = Rv32Simulator::Observer;
-
   explicit Rv32SuperblockSimulator(const Rv32Program& program, std::size_t ram_bytes = 1u << 20);
 
   /// Runs off a shared pre-decoded image (SimulationService, differential
@@ -107,53 +104,16 @@ class Rv32SuperblockSimulator {
   explicit Rv32SuperblockSimulator(std::shared_ptr<const Rv32DecodedImage> image,
                                    std::size_t ram_bytes = 1u << 20);
 
-  /// Executes one instruction (the per-instruction slow path — observed
-  /// runs and partial-block tails); false when ECALL/EBREAK retires.
-  bool step();
-
-  /// Runs until halt or `max_instructions` — exactly: block entry is
-  /// clamped against the remaining budget, the tail is stepped per
-  /// instruction.  A non-empty `observer` routes the whole run through
-  /// the per-instruction path so the retire stream stays bit-identical.
-  Rv32RunStats run(uint64_t max_instructions = 100'000'000, const Observer& observer = {});
-
-  /// Streams every retired instruction to `observer` (empty to remove).
-  void set_observer(Observer observer) { observer_ = std::move(observer); }
-
-  [[nodiscard]] uint32_t reg(int index) const { return regs_.at(static_cast<std::size_t>(index)); }
-  void set_reg(int index, uint32_t value) {
-    if (index != 0) regs_.at(static_cast<std::size_t>(index)) = value;
-  }
-  [[nodiscard]] uint32_t pc() const noexcept { return pc_; }
-
-  /// Snapshot of the architectural state (registers, RAM bytes, PC).
-  [[nodiscard]] Rv32ArchState state() const { return Rv32ArchState{regs_, ram_, pc_}; }
-
-  /// Replaces the architectural state wholesale (snapshot restore),
-  /// adopting the snapshot's RAM size.  x0 is forced back to zero.
-  void restore(const Rv32ArchState& state) {
-    regs_ = state.regs;
-    regs_[0] = 0;
-    ram_ = state.ram;
-    pc_ = state.pc;
-    row_ = image_->row_of(pc_);
-  }
-
-  /// The shared pre-decoded image this simulator executes.
-  [[nodiscard]] const Rv32DecodedImage& image() const noexcept { return *image_; }
-
   /// The shared block translation (tests, introspection).
   [[nodiscard]] const Rv32SuperblockPlan& plan() const noexcept { return *plan_; }
 
  private:
-  std::shared_ptr<const Rv32DecodedImage> image_;
-  const Rv32DecodedOp* rows_ = nullptr;       // the image's row table
+  /// Block-chained hot loop: the budget is checked per block and block
+  /// entry is clamped against it, so a block that no longer fits ends the
+  /// loop and run() steps the partial block exactly.
+  void run_native(Rv32RunStats& stats, uint64_t max_instructions) override;
+
   const Rv32SuperblockPlan* plan_ = nullptr;  // the image's translation
-  std::vector<uint8_t> ram_;
-  std::array<uint32_t, 32> regs_{};
-  uint32_t pc_ = 0;
-  uint32_t row_ = 0;  // current fetch row, in lock-step with pc_
-  Observer observer_;
 };
 
 }  // namespace art9::rv32

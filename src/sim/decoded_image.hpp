@@ -22,9 +22,9 @@
 //    immediate raises SimError at load time instead of mid-run;
 //  * a parallel 24-byte-per-row PackedOp table is the packed TIM: every
 //    operand a row carries (immediate, link word) is stored as
-//    binary-coded-ternary plane pairs, so the PackedFunctionalSimulator
-//    executes without ever touching a Trit array and its fetch loop stays
-//    L1-resident.
+//    binary-coded-ternary plane pairs, so the packed engines (superblock,
+//    fleet) execute without ever touching a Trit array and the fetch
+//    loop stays L1-resident.
 //
 // A DecodedImage is immutable after construction and carries a copy of
 // its source Program, so any number of simulator instances (including
@@ -98,7 +98,7 @@ struct DecodedOp {
 };
 
 /// One packed TIM row: the same pre-decoded instruction as DecodedOp, but
-/// compressed to 24 bytes for the plane-packed SWAR backend's fetch loop.
+/// compressed to 24 bytes for the plane-packed backends' fetch loops.
 /// Every 9-trit quantity is stored as plane pairs or a small integer — all
 /// balanced PCs fit int16_t, all row indices fit uint16_t, and the word
 /// operand (`word_neg`/`word_pos`) carries the pre-encoded immediate for

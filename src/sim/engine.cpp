@@ -4,12 +4,10 @@
 #include <stdexcept>
 #include <utility>
 
-#include "rv32/packed_rv32_sim.hpp"
 #include "rv32/rv32_superblock.hpp"
 #include "sim/fleet.hpp"
 #include "sim/functional_sim.hpp"
 #include "sim/packed_pipeline.hpp"
-#include "sim/packed_sim.hpp"
 #include "sim/superblock.hpp"
 
 namespace art9::sim {
@@ -20,8 +18,6 @@ std::string_view engine_kind_name(EngineKind kind) noexcept {
       return "lazy";
     case EngineKind::kFunctional:
       return "functional";
-    case EngineKind::kPacked:
-      return "packed";
     case EngineKind::kSuperblock:
       return "superblock";
     case EngineKind::kFleet:
@@ -34,8 +30,6 @@ std::string_view engine_kind_name(EngineKind kind) noexcept {
       return "rv32";
     case EngineKind::kRv32Superblock:
       return "rv32_superblock";
-    case EngineKind::kRv32Packed:
-      return "rv32_packed";
   }
   return "unknown";
 }
@@ -49,10 +43,11 @@ std::optional<EngineKind> parse_engine_kind(std::string_view name) noexcept {
 
 namespace {
 
-/// Shared skeleton of the three instruction-at-a-time engines.  The
-/// native hot loops (pre-decoded switch, packed threaded dispatch, lazy
-/// fetch) run untouched unless an observer is installed; only then do
-/// step()/run() route through the instrumented per-instruction loop, so
+/// Shared skeleton of the instruction-at-a-time ART-9 engines.  The
+/// native hot loops (pre-decoded switch, superblock threaded dispatch,
+/// lazy fetch, fleet cohorts) run untouched unless an observer is
+/// installed; only then do step()/run() route through the instrumented
+/// per-instruction loop, so
 /// the unobserved steps/s of every backend is exactly the wrapped
 /// simulator's.
 class FunctionalEngineBase : public Engine {
@@ -141,23 +136,6 @@ class FunctionalEngine final : public FunctionalEngineBase {
   void do_restore(const ArchState& state) override { sim_.restore(state); }
 
   FunctionalSimulator sim_;
-};
-
-class PackedEngine final : public FunctionalEngineBase {
- public:
-  explicit PackedEngine(std::shared_ptr<const DecodedImage> image)
-      : FunctionalEngineBase(std::move(image)), sim_(image_) {}
-
-  [[nodiscard]] EngineKind kind() const noexcept override { return EngineKind::kPacked; }
-
- private:
-  bool do_step() override { return sim_.step(); }
-  SimStats do_run(uint64_t max_instructions) override { return sim_.run(max_instructions); }
-  [[nodiscard]] int64_t pc_now() const override { return sim_.pc(); }
-  [[nodiscard]] ArchState arch_snapshot() const override { return sim_.unpack_state(); }
-  void do_restore(const ArchState& state) override { sim_.restore(state); }
-
-  PackedFunctionalSimulator sim_;
 };
 
 class SuperblockEngine final : public FunctionalEngineBase {
@@ -277,9 +255,8 @@ class PipelineEngine final : public Engine {
 };
 
 /// The RV32 baseline backends behind the same contract.  One template
-/// serves both datapaths: Sim is rv32::Rv32Simulator (kRv32, host words)
-/// or rv32::PackedRv32Simulator (kRv32Packed, PackedWord<21> plane
-/// pairs).  The wrapped simulators already carry the observer hook in
+/// serves both run loops: Sim is rv32::Rv32Simulator (kRv32) or
+/// rv32::Rv32SuperblockSimulator (kRv32Superblock).  The wrapped simulators already carry the observer hook in
 /// their native loop (guarded by one branch per retire, exactly the
 /// zero-cost-when-unset contract), so the facade only adapts the event
 /// type and renumbers the stream from each installation.
@@ -336,8 +313,6 @@ std::unique_ptr<Engine> make_engine(EngineKind kind, std::shared_ptr<const Decod
       return std::make_unique<LazyEngine>(std::move(image));
     case EngineKind::kFunctional:
       return std::make_unique<FunctionalEngine>(std::move(image));
-    case EngineKind::kPacked:
-      return std::make_unique<PackedEngine>(std::move(image));
     case EngineKind::kSuperblock:
       return std::make_unique<SuperblockEngine>(std::move(image));
     case EngineKind::kFleet:
@@ -351,7 +326,6 @@ std::unique_ptr<Engine> make_engine(EngineKind kind, std::shared_ptr<const Decod
                                                                                 options);
     case EngineKind::kRv32:
     case EngineKind::kRv32Superblock:
-    case EngineKind::kRv32Packed:
       throw std::invalid_argument("make_engine: rv32 kind needs an Rv32DecodedImage");
   }
   throw std::invalid_argument("make_engine: unknown EngineKind");
@@ -369,9 +343,6 @@ std::unique_ptr<Engine> make_engine(EngineKind kind,
       return std::make_unique<
           Rv32Engine<rv32::Rv32SuperblockSimulator, EngineKind::kRv32Superblock>>(std::move(image),
                                                                                   options);
-    case EngineKind::kRv32Packed:
-      return std::make_unique<Rv32Engine<rv32::PackedRv32Simulator, EngineKind::kRv32Packed>>(
-          std::move(image), options);
     default:
       throw std::invalid_argument("make_engine: ART-9 kind needs a DecodedImage");
   }

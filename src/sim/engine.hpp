@@ -6,16 +6,15 @@
 // the translated ART-9 ternary core.  The facade therefore spans
 //
 //   * the six ART-9 kinds (lazy decode-on-fetch, pre-decoded dispatch,
-//     plane-packed SWAR, the superblock translation tier over it, and the
-//     cycle-accurate pipeline on the reference or the plane-packed
-//     datapath), and
-//   * the three RV32 kinds (pre-decoded dispatch, the superblock
-//     translation tier over it, and the PackedWord<21> plane-pair
-//     datapath of PackedRv32Simulator),
+//     the superblock translation tier on the plane-packed datapath, the
+//     bit-sliced fleet, and the cycle-accurate pipeline on the reference
+//     or the plane-packed datapath), and
+//   * the two RV32 kinds (pre-decoded dispatch and the superblock
+//     translation tier over it),
 //
 // behind one contract:
 //
-//   auto engine = make_engine(EngineKind::kPacked, image);
+//   auto engine = make_engine(EngineKind::kSuperblock, image);
 //   RunResult r = engine->run({.max_steps = budget});
 //   // r.state / r.stats / r.halt — identical shape for every kind.
 //
@@ -27,10 +26,10 @@
 //  * budget exhaustion is reported as HaltReason::kMaxCycles by every
 //    kind — never left defaulted;
 //  * the retired-instruction observer is zero-cost when unset: engines
-//    only leave their native hot loop (e.g. the packed threaded
+//    only leave their native hot loop (e.g. the superblock threaded
 //    dispatch) when an observer is installed.
 //
-// New backends (wider packed words, another ISA) drop in as a new
+// New backends (another datapath, another ISA) drop in as a new
 // EngineKind + factory case; no consumer changes.
 #pragma once
 
@@ -57,41 +56,36 @@ namespace art9::sim {
 enum class EngineKind : uint8_t {
   kLazy,            // seed decode-on-fetch loop (baseline for differential runs)
   kFunctional,      // pre-decoded dispatch fast path (golden model)
-  kPacked,          // plane-packed SWAR datapath
-  kSuperblock,      // superblock translation tier over the packed datapath
+  kSuperblock,      // superblock translation tier over the plane-packed datapath
   kPipeline,        // cycle-accurate 5-stage pipeline (reference datapath)
   kPackedPipeline,  // the same 5-stage control logic over plane-packed words
   kRv32,            // RV32 baseline, pre-decoded dispatch (reference model)
   kRv32Superblock,  // RV32 superblock translation tier (fused macro-ops)
-  kRv32Packed,      // RV32 on the ternary datapath: PackedWord<21> TRF + RAM
   kFleet,           // bit-sliced fleet: 32 ART-9 machines per plane word
 };
 
 /// All kinds, in factory order — for generic sweeps (benches, conformance).
-[[nodiscard]] constexpr std::array<EngineKind, 10> all_engine_kinds() noexcept {
-  return {EngineKind::kLazy,           EngineKind::kFunctional,     EngineKind::kPacked,
-          EngineKind::kSuperblock,     EngineKind::kFleet,          EngineKind::kPipeline,
-          EngineKind::kPackedPipeline, EngineKind::kRv32,           EngineKind::kRv32Superblock,
-          EngineKind::kRv32Packed};
+[[nodiscard]] constexpr std::array<EngineKind, 8> all_engine_kinds() noexcept {
+  return {EngineKind::kLazy,     EngineKind::kFunctional,     EngineKind::kSuperblock,
+          EngineKind::kFleet,    EngineKind::kPipeline,       EngineKind::kPackedPipeline,
+          EngineKind::kRv32,     EngineKind::kRv32Superblock};
 }
 
 /// True for the kinds that execute RV32 programs (an Rv32DecodedImage);
 /// the others execute ART-9 programs (a DecodedImage).
 [[nodiscard]] constexpr bool is_rv32(EngineKind kind) noexcept {
-  return kind == EngineKind::kRv32 || kind == EngineKind::kRv32Superblock ||
-         kind == EngineKind::kRv32Packed;
+  return kind == EngineKind::kRv32 || kind == EngineKind::kRv32Superblock;
 }
 
-/// The seven ART-9 kinds, in factory order.
-[[nodiscard]] constexpr std::array<EngineKind, 7> art9_engine_kinds() noexcept {
-  return {EngineKind::kLazy,  EngineKind::kFunctional, EngineKind::kPacked,
-          EngineKind::kSuperblock, EngineKind::kFleet, EngineKind::kPipeline,
-          EngineKind::kPackedPipeline};
+/// The six ART-9 kinds, in factory order.
+[[nodiscard]] constexpr std::array<EngineKind, 6> art9_engine_kinds() noexcept {
+  return {EngineKind::kLazy,  EngineKind::kFunctional, EngineKind::kSuperblock,
+          EngineKind::kFleet, EngineKind::kPipeline,   EngineKind::kPackedPipeline};
 }
 
-/// The three RV32 kinds, in factory order.
-[[nodiscard]] constexpr std::array<EngineKind, 3> rv32_engine_kinds() noexcept {
-  return {EngineKind::kRv32, EngineKind::kRv32Superblock, EngineKind::kRv32Packed};
+/// The two RV32 kinds, in factory order.
+[[nodiscard]] constexpr std::array<EngineKind, 2> rv32_engine_kinds() noexcept {
+  return {EngineKind::kRv32, EngineKind::kRv32Superblock};
 }
 
 /// True for the cycle-accurate kinds (step() is one clock, budgets are
@@ -100,10 +94,9 @@ enum class EngineKind : uint8_t {
   return kind == EngineKind::kPipeline || kind == EngineKind::kPackedPipeline;
 }
 
-/// Stable lower-case name ("lazy", "functional", "packed", "superblock",
-/// "fleet", "pipeline", "pipeline_packed", "rv32", "rv32_superblock",
-/// "rv32_packed") — the vocabulary of art9-run's --engine= flag and the
-/// bench JSON keys.
+/// Stable lower-case name ("lazy", "functional", "superblock", "fleet",
+/// "pipeline", "pipeline_packed", "rv32", "rv32_superblock") — the
+/// vocabulary of art9-run's --engine= flag and the bench JSON keys.
 [[nodiscard]] std::string_view engine_kind_name(EngineKind kind) noexcept;
 
 /// Inverse of engine_kind_name; nullopt for unknown names.

@@ -20,10 +20,13 @@ namespace {
   return static_cast<unsigned>(std::countr_zero(mask));
 }
 
-/// The bit-sliced mirror of superblock.cpp's reg_alu — the fused second
-/// half of kLoadOp, applied to every lane of the cohort at once.
-[[nodiscard]] bs::SlicedWord9 sliced_reg_alu(DispatchKind kind, const bs::SlicedWord9& a,
-                                             const bs::SlicedWord9& b) {
+/// The bit-sliced data-processing cells: packed_alu's semantics on every
+/// lane of the cohort at once (`word` broadcasts to all lanes).
+[[nodiscard]] ART9_PACKED_FORCE_INLINE bs::SlicedWord9 sliced_alu(DispatchKind kind,
+                                                                   const bs::SlicedWord9& a,
+                                                                   const bs::SlicedWord9& b,
+                                                                   const BctWord9& word,
+                                                                   int16_t imm) {
   switch (kind) {
     case DispatchKind::kMv:
       return b;
@@ -49,10 +52,50 @@ namespace {
       return bs::shl_var(a, b);
     case DispatchKind::kComp:
       return bs::comp(a, b);
+    case DispatchKind::kAndi:
+      return bs::tand(a, bs::broadcast(word));
+    case DispatchKind::kAddi:
+      return bs::add(a, bs::broadcast(word));
+    case DispatchKind::kSri:
+      return bs::shr(a, static_cast<unsigned>(static_cast<int>(imm)));
+    case DispatchKind::kSli:
+      return bs::shl(a, static_cast<unsigned>(static_cast<int>(imm)));
+    case DispatchKind::kLui:
+      return bs::broadcast(word);
+    case DispatchKind::kLi: {
+      // Keep the high four trits, insert the pre-packed imm5 planes.
+      bs::SlicedWord9 r = a;
+      for (unsigned t = 0; t < 5; ++t) {
+        r.neg[t] = 0u - ((word.neg_plane() >> t) & 1u);
+        r.pos[t] = 0u - ((word.pos_plane() >> t) & 1u);
+      }
+      return r;
+    }
     default:
-      throw SimError("fleet: non-register kind in fused ALU slot");
+      throw std::logic_error("fleet: kind has no data-processing result");
   }
 }
+
+/// packed_step's view of one fleet lane: gather/scatter against the
+/// sliced TRF and TDM, access counters per lane.
+struct LaneMachine {
+  std::array<bs::SlicedWord9, isa::kNumRegisters>& trf;
+  std::vector<bs::SlicedWord9>& tdm;
+  uint64_t& reads;
+  uint64_t& writes;
+  unsigned lane;
+
+  [[nodiscard]] BctWord9 reg(unsigned r) const { return bs::extract_lane(trf[r], lane); }
+  void set_reg(unsigned r, const BctWord9& value) { bs::insert_lane(trf[r], lane, value); }
+  void load(unsigned ta, std::size_t row) {
+    ++reads;
+    bs::copy_lane(trf[ta], tdm[row], lane);
+  }
+  void store(std::size_t row, unsigned ta) {
+    ++writes;
+    bs::copy_lane(tdm[row], trf[ta], lane);
+  }
+};
 
 }  // namespace
 
@@ -84,56 +127,11 @@ int32_t FleetSimulator::lane_int(int reg, unsigned lane) const {
   return pk::to_int(lane_word(reg, lane));
 }
 
-// The per-lane slow path: gather/scatter against the sliced TRF, but
-// instruction for instruction the SuperblockSimulator::step() semantics
-// (which the conformance suite locks against the golden model).  Used
-// for partial-block budget tails and the observed-run engine path.
+// The per-lane slow path (partial-block budget tails, the observed-run
+// engine path): the shared packed_step semantics over one lane.
 bool FleetSimulator::step_lane(unsigned lane) {
-  const PackedOp& op = prows_[row_[lane]];
-  const int ta = op.ta;
-  const int tb = op.tb;
-  switch (op.kind) {
-    case DispatchKind::kBeq:
-    case DispatchKind::kBne: {
-      const bool eq = lane_word(tb, lane).lst_value() == op.bcond;
-      const bool taken = op.kind == DispatchKind::kBeq ? eq : !eq;
-      row_[lane] = taken ? op.taken_row : op.next_row;
-      return true;
-    }
-    case DispatchKind::kHalt:
-      return false;
-    case DispatchKind::kJal:
-      bs::insert_lane(trf_[static_cast<std::size_t>(ta)], lane, op.word());
-      row_[lane] = op.taken_row;
-      return true;
-    case DispatchKind::kJalr: {
-      const int32_t target = pk::wrap(lane_int(tb, lane) + op.imm);
-      if (target == op.pc) return false;  // self-jump = halt (no link write)
-      bs::insert_lane(trf_[static_cast<std::size_t>(ta)], lane, op.word());
-      row_[lane] = static_cast<uint32_t>(pk::row_of(target));
-      return true;
-    }
-    case DispatchKind::kLoad: {
-      const int32_t addr = lane_int(tb, lane) + op.imm;
-      ++mem_reads_[lane];
-      bs::copy_lane(trf_[static_cast<std::size_t>(ta)], stdm_[pk::row_of(addr)], lane);
-      break;
-    }
-    case DispatchKind::kStore: {
-      const int32_t addr = lane_int(tb, lane) + op.imm;
-      ++mem_writes_[lane];
-      bs::copy_lane(stdm_[pk::row_of(addr)], trf_[static_cast<std::size_t>(ta)], lane);
-      break;
-    }
-    case DispatchKind::kInvalid:
-      throw SimError("fetch from uninitialised TIM address " + std::to_string(op.pc));
-    default:
-      bs::insert_lane(trf_[static_cast<std::size_t>(ta)], lane,
-                      packed_alu(op, lane_word(ta, lane), lane_word(tb, lane)));
-      break;
-  }
-  row_[lane] = op.next_row;
-  return true;
+  LaneMachine machine{trf_, stdm_, mem_reads_[lane], mem_writes_[lane], lane};
+  return packed_step(machine, prows_[row_[lane]], row_[lane]);
 }
 
 // One full superblock pass for every lane in `mask` — every body op is
@@ -193,75 +191,40 @@ void FleetSimulator::execute_block(uint32_t row, uint32_t mask, std::vector<Lane
     for (;; ++op) {
       switch (op->kind) {
       // --- body ops: one plane operation for the whole cohort ------------
-      case SuperOpKind::kMv:
-        bs::assign_masked(trf[op->ta], trf[op->tb], mask);
-        break;
-      case SuperOpKind::kPti:
-        bs::assign_masked(trf[op->ta], bs::pti(trf[op->tb]), mask);
-        break;
-      case SuperOpKind::kNti:
-        bs::assign_masked(trf[op->ta], bs::nti(trf[op->tb]), mask);
-        break;
-      case SuperOpKind::kSti:
-        bs::assign_masked(trf[op->ta], bs::sti(trf[op->tb]), mask);
-        break;
-      case SuperOpKind::kAnd:
-        bs::assign_masked(trf[op->ta], bs::tand(trf[op->ta], trf[op->tb]), mask);
-        break;
-      case SuperOpKind::kOr:
-        bs::assign_masked(trf[op->ta], bs::tor(trf[op->ta], trf[op->tb]), mask);
-        break;
-      case SuperOpKind::kXor:
-        bs::assign_masked(trf[op->ta], bs::txor(trf[op->ta], trf[op->tb]), mask);
-        break;
-      case SuperOpKind::kAdd:
-        bs::assign_masked(trf[op->ta], bs::add(trf[op->ta], trf[op->tb]), mask);
-        break;
-      case SuperOpKind::kSub:
-        bs::assign_masked(trf[op->ta], bs::sub(trf[op->ta], trf[op->tb]), mask);
-        break;
-      case SuperOpKind::kSr:
-        bs::assign_masked(trf[op->ta], bs::shr_var(trf[op->ta], trf[op->tb]), mask);
-        break;
-      case SuperOpKind::kSl:
-        bs::assign_masked(trf[op->ta], bs::shl_var(trf[op->ta], trf[op->tb]), mask);
-        break;
-      case SuperOpKind::kComp:
-        bs::assign_masked(trf[op->ta], bs::comp(trf[op->ta], trf[op->tb]), mask);
-        break;
-      case SuperOpKind::kAndi:
-        bs::assign_masked(trf[op->ta], bs::tand(trf[op->ta], bs::broadcast(op->word())), mask);
-        break;
-      case SuperOpKind::kAddi:
+      // The 18 unfused data-processing kinds: one sliced_alu cell each.
+#define ART9_FLEET_ALU(kind)                                                                  \
+  case SuperOpKind::kind:                                                                     \
+    bs::assign_masked(                                                                        \
+        trf[op->ta],                                                                          \
+        sliced_alu(DispatchKind::kind, trf[op->ta], trf[op->tb], op->word(), op->imm), mask); \
+    break;
+      ART9_FLEET_ALU(kMv)
+      ART9_FLEET_ALU(kPti)
+      ART9_FLEET_ALU(kNti)
+      ART9_FLEET_ALU(kSti)
+      ART9_FLEET_ALU(kAnd)
+      ART9_FLEET_ALU(kOr)
+      ART9_FLEET_ALU(kXor)
+      ART9_FLEET_ALU(kAdd)
+      ART9_FLEET_ALU(kSub)
+      ART9_FLEET_ALU(kSr)
+      ART9_FLEET_ALU(kSl)
+      ART9_FLEET_ALU(kComp)
+      ART9_FLEET_ALU(kAndi)
+      ART9_FLEET_ALU(kAddi)
+      ART9_FLEET_ALU(kSri)
+      ART9_FLEET_ALU(kSli)
+      ART9_FLEET_ALU(kLui)
+      ART9_FLEET_ALU(kLi)
+#undef ART9_FLEET_ALU
       case SuperOpKind::kAddiChain:
         // Exact: adding the pre-encoded (wrapped) immediate word mod 3^9
         // is add_int.  The plan carries the planes, so no re-encode here.
         bs::assign_masked(trf[op->ta], bs::add(trf[op->ta], bs::broadcast(op->word())), mask);
         break;
-      case SuperOpKind::kSri:
-        bs::assign_masked(trf[op->ta],
-                          bs::shr(trf[op->ta], static_cast<unsigned>(static_cast<int>(op->imm))),
-                          mask);
-        break;
-      case SuperOpKind::kSli:
-        bs::assign_masked(trf[op->ta],
-                          bs::shl(trf[op->ta], static_cast<unsigned>(static_cast<int>(op->imm))),
-                          mask);
-        break;
-      case SuperOpKind::kLui:
       case SuperOpKind::kConst:
         bs::assign_masked(trf[op->ta], bs::broadcast(op->word()), mask);
         break;
-      case SuperOpKind::kLi: {
-        // Keep the high four trits, insert the pre-packed imm5 planes.
-        bs::SlicedWord9 r = trf[op->ta];
-        for (unsigned t = 0; t < 5; ++t) {
-          r.neg[t] = 0u - ((static_cast<uint32_t>(op->word_neg) >> t) & 1u);
-          r.pos[t] = 0u - ((static_cast<uint32_t>(op->word_pos) >> t) & 1u);
-        }
-        bs::assign_masked(trf[op->ta], r, mask);
-        break;
-      }
       // Counter deltas for the memory ops are batched per block (retire),
       // as on the scalar fast path.  A uniform address register — the
       // lockstep common case — collapses the whole cohort's TDM traffic
@@ -304,10 +267,10 @@ void FleetSimulator::execute_block(uint32_t row, uint32_t mask, std::vector<Lane
             bs::copy_lane(trf[op->ta], stdm_[pk::row_of(addr)], i);
           }
         }
-        bs::assign_masked(
-            trf[op->ta2],
-            sliced_reg_alu(static_cast<DispatchKind>(op->kind2), trf[op->ta2], trf[op->tb2]),
-            mask);
+        bs::assign_masked(trf[op->ta2],
+                          sliced_alu(static_cast<DispatchKind>(op->kind2), trf[op->ta2],
+                                     trf[op->tb2], BctWord9{}, 0),
+                          mask);
         break;
       }
 

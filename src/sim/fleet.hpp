@@ -96,9 +96,10 @@ class FleetSimulator {
   [[nodiscard]] int64_t reg_int(unsigned lane, int index) const;
 
  private:
-  /// One instruction on `lane` via gather/scatter — the exact
-  /// SuperblockSimulator::step() semantics (partial-block tails, the
-  /// observed-run path).  Throws SimError on a trap.
+  /// One instruction on `lane` via gather/scatter — packed_step, the
+  /// per-instruction semantics SuperblockSimulator::step() shares
+  /// (partial-block tails, the observed-run path).  Throws SimError on a
+  /// trap.
   bool step_lane(unsigned lane);
 
   /// One full superblock pass at `row` for every lane in `mask`

@@ -89,8 +89,8 @@ class PackedMemory {
 
   PackedMemory() : rows_(static_cast<std::size_t>(kRows)) {}
 
-  /// Counted read by pre-folded row index (hot loop — the packed simulator
-  /// folds addresses with ternary::packed::row_of).
+  /// Counted read by pre-folded row index (hot path — the packed engines
+  /// fold addresses with ternary::packed::row_of).
   [[nodiscard]] const ternary::BctWord9& read_row(std::size_t row) noexcept {
     ++reads_;
     return rows_[row];

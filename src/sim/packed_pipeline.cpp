@@ -11,8 +11,8 @@ using Word = PackedPipelineDatapath::Word;
 
 Word PackedPipelineDatapath::alu(const DecodedOp& dop, const Word& a, const Word& b) const {
   // The shared packed TALU (packed_alu.hpp) — the same cells the
-  // PackedFunctionalSimulator dispatches; BctWord9 <-> PackedWord<9>
-  // conversions are free plane copies.
+  // superblock tier dispatches; BctWord9 <-> PackedWord<9> conversions
+  // are free plane copies.
   return ternary::packed::from_bct(
       packed_alu(packed(dop), ternary::packed::to_bct(a), ternary::packed::to_bct(b)));
 }

@@ -15,43 +15,20 @@ namespace {
 
 /// Data-processing kinds with register-only operands (no immediate word),
 /// the fusable second halves of kLoadOp.
-[[nodiscard]] constexpr bool is_reg_alu(DispatchKind k) noexcept {
+[[nodiscard]] constexpr bool is_register_only(DispatchKind k) noexcept {
   return static_cast<uint8_t>(k) <= static_cast<uint8_t>(DispatchKind::kComp);
 }
 
-/// The fused second op of kLoadOp: one shared register-only TALU cell
-/// (kMv..kComp — the immediate forms never fuse, so no operand word).
-/// Must stay in lock-step with packed_alu.hpp / the packed run() handlers.
-[[nodiscard]] BctWord9 reg_alu(DispatchKind kind, const BctWord9& a, const BctWord9& b) {
-  switch (kind) {
-    case DispatchKind::kMv:
-      return b;
-    case DispatchKind::kPti:
-      return b.pti();
-    case DispatchKind::kNti:
-      return b.nti();
-    case DispatchKind::kSti:
-      return b.sti();
-    case DispatchKind::kAnd:
-      return BctWord9::tand(a, b);
-    case DispatchKind::kOr:
-      return BctWord9::tor(a, b);
-    case DispatchKind::kXor:
-      return BctWord9::txor(a, b);
-    case DispatchKind::kAdd:
-      return pk::add(a, b);
-    case DispatchKind::kSub:
-      return pk::sub(a, b);
-    case DispatchKind::kSr:
-      return a.shr(pk::shift_amount(b));
-    case DispatchKind::kSl:
-      return a.shl(pk::shift_amount(b));
-    case DispatchKind::kComp:
-      return pk::comp_word(a, b);
-    default:
-      throw SimError("superblock: non-register kind in fused ALU slot");
-  }
-}
+/// packed_step's view of the scalar machine: the packed TRF and TDM.
+struct ScalarMachine {
+  std::array<BctWord9, isa::kNumRegisters>& trf;
+  PackedMemory& tdm;
+
+  [[nodiscard]] BctWord9 reg(unsigned r) const { return trf[r]; }
+  void set_reg(unsigned r, const BctWord9& value) { trf[r] = value; }
+  void load(unsigned ta, std::size_t row) { trf[ta] = tdm.read_row(row); }
+  void store(std::size_t row, unsigned ta) { tdm.write_row(row, trf[ta]); }
+};
 
 // The first 18 SuperOpKind values mirror DispatchKind so unfused body
 // translation is a cast.
@@ -184,7 +161,7 @@ static_assert(static_cast<uint8_t>(SuperOpKind::kMv) == static_cast<uint8_t>(Dis
           continue;
         }
         // LOAD + register ALU op consuming the loaded value: one dispatch.
-        if (p.kind == DispatchKind::kLoad && is_reg_alu(q.kind) && q.tb == p.ta) {
+        if (p.kind == DispatchKind::kLoad && is_register_only(q.kind) && q.tb == p.ta) {
           SuperOp s = from_packed(p, row);
           s.kind = SuperOpKind::kLoadOp;
           s.kind2 = static_cast<uint8_t>(q.kind);
@@ -281,66 +258,13 @@ SuperblockSimulator::SuperblockSimulator(std::shared_ptr<const DecodedImage> ima
   for (const isa::DataWord& d : image_->program().data) {
     tdm_.poke(d.address, BctWord9::encode(d.value));
   }
-  pc_ = image_->program().entry;
-  row_ = DecodedImage::row_of(pc_);
+  row_ = static_cast<uint32_t>(DecodedImage::row_of(image_->program().entry));
 }
 
-// The per-instruction slow path: the observed-run and partial-block
-// semantics, kept in lock-step with PackedFunctionalSimulator::step()
-// (the differential suite runs both).
+// The per-instruction slow path: observed runs and partial-block tails.
 bool SuperblockSimulator::step() {
-  const PackedOp& op = prows_[row_];
-  BctWord9* const trf = trf_.data();
-  const std::size_t ta = op.ta;
-  const std::size_t tb = op.tb;
-  switch (op.kind) {
-    case DispatchKind::kBeq:
-    case DispatchKind::kBne: {
-      const bool eq = trf[tb].lst_value() == op.bcond;
-      const bool taken = op.kind == DispatchKind::kBeq ? eq : !eq;
-      if (taken) {
-        pc_ = op.taken_pc;
-        row_ = op.taken_row;
-      } else {
-        pc_ = op.next_pc;
-        row_ = op.next_row;
-      }
-      return true;
-    }
-    case DispatchKind::kHalt:
-      return false;
-    case DispatchKind::kJal:
-      trf[ta] = op.word();  // the pre-packed link
-      pc_ = op.taken_pc;
-      row_ = op.taken_row;
-      return true;
-    case DispatchKind::kJalr: {
-      const int32_t target = pk::wrap(pk::to_int(trf[tb]) + op.imm);
-      if (target == op.pc) return false;  // self-jump = halt (no link write)
-      trf[ta] = op.word();
-      pc_ = target;
-      row_ = pk::row_of(target);
-      return true;
-    }
-    case DispatchKind::kLoad: {
-      const int32_t addr = pk::to_int(trf[tb]) + op.imm;
-      trf[ta] = tdm_.read_row(pk::row_of(addr));
-      break;
-    }
-    case DispatchKind::kStore: {
-      const int32_t addr = pk::to_int(trf[tb]) + op.imm;
-      tdm_.write_row(pk::row_of(addr), trf[ta]);
-      break;
-    }
-    case DispatchKind::kInvalid:
-      throw SimError("fetch from uninitialised TIM address " + std::to_string(op.pc));
-    default:
-      trf[ta] = packed_alu(op, trf[ta], trf[tb]);
-      break;
-  }
-  pc_ = op.next_pc;
-  row_ = op.next_row;
-  return true;
+  ScalarMachine machine{trf_, tdm_};
+  return packed_step(machine, prows_[row_], row_);
 }
 
 SimStats SuperblockSimulator::run(uint64_t max_instructions) {
@@ -364,7 +288,7 @@ SimStats SuperblockSimulator::run(uint64_t max_instructions) {
 }
 
 // Threaded dispatch (computed goto) is a GNU extension; other compilers
-// fall back to the portable step() loop, as in packed_sim.cpp.
+// fall back to the portable step() loop.
 #if defined(__GNUC__) || defined(__clang__)
 #define ART9_SB_THREADED_DISPATCH 1
 #endif
@@ -391,10 +315,9 @@ uint64_t SuperblockSimulator::run_blocks(uint64_t max_instructions, bool& halted
 
   const Superblock* const blocks = plan_->blocks.data();
   const SuperOp* const ops = plan_->ops.data();
-  const PackedOp* const rows = prows_;
   BctWord9* const trf = trf_.data();
   BctWord9* const mem = tdm_.data();
-  uint32_t row = static_cast<uint32_t>(row_);
+  uint32_t row = row_;
   uint64_t executed = 0;
   uint64_t mem_reads = 0;
   uint64_t mem_writes = 0;
@@ -422,65 +345,34 @@ uint64_t SuperblockSimulator::run_blocks(uint64_t max_instructions, bool& halted
   mem_reads += blk->mem_reads; \
   mem_writes += blk->mem_writes
 
+// The 18 unfused data-processing handlers: one packed_alu cell each, its
+// switch folded away by the constant kind.
+#define ART9_SB_ALU(label, kind)                                                               \
+  label:                                                                                       \
+  trf[op->ta] = packed_alu(DispatchKind::kind, trf[op->ta], trf[op->tb], op->word(), op->imm); \
+  ART9_SB_NEXT();
+
   ART9_SB_ENTER(row);
 
-h_mv:
-  trf[op->ta] = trf[op->tb];
-  ART9_SB_NEXT();
-h_pti:
-  trf[op->ta] = trf[op->tb].pti();
-  ART9_SB_NEXT();
-h_nti:
-  trf[op->ta] = trf[op->tb].nti();
-  ART9_SB_NEXT();
-h_sti:
-  trf[op->ta] = trf[op->tb].sti();
-  ART9_SB_NEXT();
-h_and:
-  trf[op->ta] = BctWord9::tand(trf[op->ta], trf[op->tb]);
-  ART9_SB_NEXT();
-h_or:
-  trf[op->ta] = BctWord9::tor(trf[op->ta], trf[op->tb]);
-  ART9_SB_NEXT();
-h_xor:
-  trf[op->ta] = BctWord9::txor(trf[op->ta], trf[op->tb]);
-  ART9_SB_NEXT();
-h_add:
-  trf[op->ta] = pk::add(trf[op->ta], trf[op->tb]);
-  ART9_SB_NEXT();
-h_sub:
-  trf[op->ta] = pk::sub(trf[op->ta], trf[op->tb]);
-  ART9_SB_NEXT();
-h_sr:
-  trf[op->ta] = trf[op->ta].shr(pk::shift_amount(trf[op->tb]));
-  ART9_SB_NEXT();
-h_sl:
-  trf[op->ta] = trf[op->ta].shl(pk::shift_amount(trf[op->tb]));
-  ART9_SB_NEXT();
-h_comp:
-  trf[op->ta] = pk::comp_word(trf[op->ta], trf[op->tb]);
-  ART9_SB_NEXT();
-h_andi:
-  trf[op->ta] = BctWord9::tand(trf[op->ta], op->word());
-  ART9_SB_NEXT();
-h_addi:
-  trf[op->ta] = pk::add_int(trf[op->ta], op->imm);
-  ART9_SB_NEXT();
-h_sri:
-  trf[op->ta] = trf[op->ta].shr(static_cast<unsigned>(static_cast<int>(op->imm)));
-  ART9_SB_NEXT();
-h_sli:
-  trf[op->ta] = trf[op->ta].shl(static_cast<unsigned>(static_cast<int>(op->imm)));
-  ART9_SB_NEXT();
-h_lui:
-  trf[op->ta] = op->word();
-  ART9_SB_NEXT();
-h_li: {
-  constexpr uint32_t kHigh4 = BctWord9::kMask & ~0x1Fu;
-  trf[op->ta] = BctWord9::from_planes_unchecked((trf[op->ta].neg_plane() & kHigh4) | op->word_neg,
-                                                (trf[op->ta].pos_plane() & kHigh4) | op->word_pos);
-  ART9_SB_NEXT();
-}
+  ART9_SB_ALU(h_mv, kMv)
+  ART9_SB_ALU(h_pti, kPti)
+  ART9_SB_ALU(h_nti, kNti)
+  ART9_SB_ALU(h_sti, kSti)
+  ART9_SB_ALU(h_and, kAnd)
+  ART9_SB_ALU(h_or, kOr)
+  ART9_SB_ALU(h_xor, kXor)
+  ART9_SB_ALU(h_add, kAdd)
+  ART9_SB_ALU(h_sub, kSub)
+  ART9_SB_ALU(h_sr, kSr)
+  ART9_SB_ALU(h_sl, kSl)
+  ART9_SB_ALU(h_comp, kComp)
+  ART9_SB_ALU(h_andi, kAndi)
+  ART9_SB_ALU(h_addi, kAddi)
+  ART9_SB_ALU(h_sri, kSri)
+  ART9_SB_ALU(h_sli, kSli)
+  ART9_SB_ALU(h_lui, kLui)
+  ART9_SB_ALU(h_li, kLi)
+
 h_load: {
   const int32_t addr = pk::to_int(trf[op->tb]) + op->imm;
   trf[op->ta] = mem[pk::row_of(addr)];  // counter delta batched per block
@@ -497,7 +389,8 @@ h_const:
 h_load_op: {
   const int32_t addr = pk::to_int(trf[op->tb]) + op->imm;
   trf[op->ta] = mem[pk::row_of(addr)];
-  trf[op->ta2] = reg_alu(static_cast<DispatchKind>(op->kind2), trf[op->ta2], trf[op->tb2]);
+  trf[op->ta2] = packed_alu(static_cast<DispatchKind>(op->kind2), trf[op->ta2], trf[op->tb2],
+                            BctWord9{}, 0);
   ART9_SB_NEXT();
 }
 h_addi_chain:
@@ -549,18 +442,17 @@ h_halt:
 h_trap:
   ART9_SB_RETIRE();  // the body did execute — commit before throwing
   row_ = op->self_row;
-  pc_ = op->pc;
   tdm_.add_counters(mem_reads, mem_writes);
   throw SimError("fetch from uninitialised TIM address " + std::to_string(op->pc));
 
 done:
 
+#undef ART9_SB_ALU
 #undef ART9_SB_ENTER
 #undef ART9_SB_NEXT
 #undef ART9_SB_RETIRE
 
   row_ = row;
-  pc_ = rows[row].pc;
   tdm_.add_counters(mem_reads, mem_writes);
   return executed;
 }
@@ -578,7 +470,7 @@ ArchState SuperblockSimulator::unpack_state() const {
     out.trf.write(i, trf_[static_cast<std::size_t>(i)].decode());
   }
   out.tdm = tdm_.unpack();
-  out.pc = pc_;
+  out.pc = pc();
   return out;
 }
 
@@ -593,8 +485,7 @@ void SuperblockSimulator::restore(const ArchState& state) {
     tdm_.poke(addr, BctWord9::encode(w));
   }
   tdm_.set_counters(state.tdm.reads(), state.tdm.writes());
-  pc_ = state.pc;
-  row_ = DecodedImage::row_of(pc_);
+  row_ = static_cast<uint32_t>(DecodedImage::row_of(state.pc));
 }
 
 ternary::Word9 SuperblockSimulator::reg(int index) const {

@@ -1,9 +1,9 @@
-// Superblock translation tier — the execution backend above the packed
-// SWAR simulator.
+// Superblock translation tier — the fast functional ART-9 backend, on
+// the plane-packed (binary-coded-ternary) datapath.
 //
-// The packed backend still pays per *instruction*: one budget check, one
-// row chase, one retire increment and (for memory ops) one counter bump
-// per step.  The superblock tier translates the decoded image once more,
+// A row-at-a-time packed loop pays per *instruction*: one budget check,
+// one row chase, one retire increment and (for memory ops) one counter
+// bump per step.  The superblock tier translates the decoded image once more,
 // at load time, into straight-line superblocks (the move libriscv makes
 // in decode_bytecodes.cpp / threaded_bytecodes.hpp):
 //
@@ -21,6 +21,9 @@
 //    row for the not-taken/unconditional path, so the hot loop is
 //    block-to-block (computed goto on GNU, a portable step() fallback
 //    otherwise) and only checks the budget at block boundaries.
+//
+// Every data-processing cell and the per-instruction slow path come from
+// sim/packed_alu.hpp (packed_alu / packed_step), shared with the fleet.
 //
 // Budget exactness: the fast loop only *enters* a block when the whole
 // block fits the remaining budget; a partial block is stepped per
@@ -149,11 +152,11 @@ struct SuperblockPlan {
   uint32_t fused_addi_chain = 0;  // chains folded (each covers >= 2 ADDIs)
 };
 
-/// The superblock execution backend.  Architectural state is identical to
-/// PackedFunctionalSimulator (packed TRF + packed TDM); only the run loop
-/// differs, so the backend is bit-identical to the golden model in state
-/// (registers, TDM contents *and* access counters, PC) and SimStats —
-/// locked by the conformance suite and tests/sim/superblock_test.cpp.
+/// The superblock execution backend: packed TRF + packed TDM, the whole
+/// position one fetch row (row <-> PC is a bijection).  Bit-identical to
+/// the golden model in state (registers, TDM contents *and* access
+/// counters, PC) and SimStats — locked by the conformance suite and
+/// tests/sim/superblock_test.cpp.
 class SuperblockSimulator {
  public:
   /// Decodes `program` into a private image.
@@ -174,7 +177,7 @@ class SuperblockSimulator {
   /// instruction.
   SimStats run(uint64_t max_instructions = 100'000'000);
 
-  [[nodiscard]] int64_t pc() const noexcept { return pc_; }
+  [[nodiscard]] int64_t pc() const noexcept { return prows_[row_].pc; }
 
   /// The pre-decoded image this simulator executes.
   [[nodiscard]] const DecodedImage& image() const noexcept { return *image_; }
@@ -182,7 +185,9 @@ class SuperblockSimulator {
   /// The shared block translation (tests, introspection).
   [[nodiscard]] const SuperblockPlan& plan() const noexcept { return *plan_; }
 
-  /// Inspection-boundary conversions, mirroring the packed backend.
+  /// Inspection-boundary conversions: decode the packed state into the
+  /// reference representation, and re-pack one (snapshot restore).
+  /// restore(unpack_state()) is an exact round trip, counters included.
   [[nodiscard]] ArchState unpack_state() const;
   void restore(const ArchState& state);
 
@@ -192,7 +197,7 @@ class SuperblockSimulator {
  private:
   /// The block-chained fast loop: runs whole blocks until halt, trap,
   /// budget exhaustion, or a block that no longer fits the remaining
-  /// budget.  Returns the instructions executed; commits row_/pc_ and the
+  /// budget.  Returns the instructions executed; commits row_ and the
   /// batched TDM counters at every exit (the trap path included).
   uint64_t run_blocks(uint64_t max_instructions, bool& halted);
 
@@ -201,8 +206,7 @@ class SuperblockSimulator {
   const SuperblockPlan* plan_;   // the image's block translation
   std::array<ternary::BctWord9, isa::kNumRegisters> trf_{};
   PackedMemory tdm_;
-  int64_t pc_ = 0;
-  std::size_t row_ = 0;  // current fetch row, in lock-step with pc_
+  uint32_t row_ = 0;  // current fetch row — the single position (pc derives)
 };
 
 }  // namespace art9::sim

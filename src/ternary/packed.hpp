@@ -20,11 +20,11 @@
 // Two layers share those tables:
 //
 //  * the free functions over BctWord9 (the original 9-trit datapath used
-//    by the packed simulators' hot loops), and
+//    by the packed engines' hot loops), and
 //  * the width-generic `PackedWord<N>` plane-pair template (1 <= N <= 32),
-//    whose N == 9 instantiation reduces to exactly the same table loads —
-//    and whose wider instantiations are the packing seam for rv32-side
-//    words (21 trits cover a 32-bit binary value).
+//    whose N == 9 instantiation reduces to exactly the same table loads
+//    (the packed pipeline's datapath word); wider instantiations (21
+//    trits cover a 32-bit binary value) are width-tested, not executed.
 //
 // Everything is constexpr, so every operation here is usable in constant
 // expressions and the packed-vs-reference equivalence suites

@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
+
+#include "sim/engine.hpp"
 
 namespace art9::fuzz {
 namespace {
@@ -19,6 +22,21 @@ namespace {
 /// otherwise bit-identical.
 std::vector<uint8_t> pinned_to_mode(std::vector<uint8_t> bytes, uint8_t mode) {
   bytes[0] = mode;
+  return bytes;
+}
+
+/// Re-pins the kind pair of mode 0's snapshot leg: bytes 14 and 15 (after
+/// the mode byte, u64 seed, option bits, two length bytes and the u16
+/// budget) index sim::art9_engine_kinds(), so a repro keeps driving the
+/// kinds it names when that list changes.
+std::vector<uint8_t> pinned_snapshot_kinds(std::vector<uint8_t> bytes, sim::EngineKind a,
+                                           sim::EngineKind b) {
+  const auto kinds = sim::art9_engine_kinds();
+  const auto index = [&](sim::EngineKind kind) {
+    return static_cast<uint8_t>(std::find(kinds.begin(), kinds.end(), kind) - kinds.begin());
+  };
+  bytes.at(14) = index(a);
+  bytes.at(15) = index(b);
   return bytes;
 }
 
@@ -34,9 +52,14 @@ const std::vector<std::pair<std::string, std::vector<uint8_t>>>& fixed_corpus() 
       // phantom TDM divergences whenever earlier cases had warmed the
       // allocator.  Fixed by ref-qualifying MachineState::art9()/rv32()
       // (rvalue access moves the view out) and binding a named boundary.
-      {"dangling checkpoint view, packed->pipeline leg", pinned_to_mode(seeded_input(1, 24), 0)},
-      {"dangling checkpoint view, packed->lazy counter leg",
-       pinned_to_mode(seeded_input(1, 29), 0)},
+      // Their kind bytes are pinned explicitly: the selector indexes a
+      // kind list that changes over time.
+      {"dangling checkpoint view, superblock->pipeline leg",
+       pinned_snapshot_kinds(pinned_to_mode(seeded_input(1, 24), 0), sim::EngineKind::kSuperblock,
+                             sim::EngineKind::kPipeline)},
+      {"dangling checkpoint view, superblock->lazy counter leg",
+       pinned_snapshot_kinds(pinned_to_mode(seeded_input(1, 29), 0), sim::EngineKind::kSuperblock,
+                             sim::EngineKind::kLazy)},
       // Pinned coverage (not a bug repro): a hand-built raw-mode case
       // whose program is one straight line of every superblock fusion
       // pattern — LUI+LI and LUI+ADDI constant formation, LOAD+ADD, and

@@ -105,10 +105,15 @@ TEST(SimulationServerRoutes, ProtocolErrorsAreStructured) {
       body_of(server.handle(make_request("POST", "/v1/images", kSumProgram)))
           .get_string("id", "");
   ASSERT_EQ(image.size(), 16u);
-  EXPECT_EQ(server.handle(make_request("POST", "/v1/jobs",
-                                       "{\"image\": \"" + image + "\", \"engine\": \"warp\"}"))
-                .status,
-            400);
+  // Unknown engine names, the retired packed kinds included.
+  for (const char* engine : {"warp", "packed", "rv32_packed"}) {
+    const HttpResponse unknown_engine = server.handle(make_request(
+        "POST", "/v1/jobs", "{\"image\": \"" + image + "\", \"engine\": \"" + engine + "\"}"));
+    EXPECT_EQ(unknown_engine.status, 400) << engine;
+    EXPECT_NE(body_of(unknown_engine).get_string("message", "").find("unknown engine"),
+              std::string::npos)
+        << engine;
+  }
   // ISA mismatch: an ART-9 image on an rv32 engine.
   EXPECT_EQ(server.handle(make_request("POST", "/v1/jobs",
                                        "{\"image\": \"" + image + "\", \"engine\": \"rv32\"}"))
@@ -219,7 +224,7 @@ TEST(SimulationServerE2E, LoopbackResultsBitIdenticalToDirectServiceRuns) {
   // service: the canonical snapshot digest is the bit-identity witness.
   sim::SimulationService direct(1);
   const sim::JobHandle direct_handle =
-      direct.submit(sim::decode(isa::assemble(kSumProgram)), sim::EngineKind::kPacked,
+      direct.submit(sim::decode(isa::assemble(kSumProgram)), sim::EngineKind::kSuperblock,
                     sim::RunOptions{2000});
   const sim::JobResult& expected = direct_handle.result();
   ASSERT_EQ(expected.outcome, sim::JobOutcome::kCompleted);
@@ -228,7 +233,7 @@ TEST(SimulationServerE2E, LoopbackResultsBitIdenticalToDirectServiceRuns) {
 
   const HttpResponse submitted = client.post(
       "/v1/jobs",
-      "{\"image\": \"" + image + "\", \"engine\": \"packed\", \"max_steps\": 2000}");
+      "{\"image\": \"" + image + "\", \"engine\": \"superblock\", \"max_steps\": 2000}");
   ASSERT_EQ(submitted.status, 202);
   const json::JsonValue job = await_job(server, body_of(submitted).get_uint64("job", 0));
 

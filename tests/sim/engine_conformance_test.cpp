@@ -3,12 +3,12 @@
 // on the four paper benchmarks plus every-opcode assembly corpora.
 //
 // Contract (see engine.hpp):
-//  * every ART-9 functional kind (lazy, functional, packed) is
-//    bit-identical to the golden FunctionalSimulator in ArchState
+//  * every ART-9 functional kind (lazy, functional, superblock, fleet)
+//    is bit-identical to the golden FunctionalSimulator in ArchState
 //    (registers, TDM contents *and* access counters, PC) and SimStats;
 //  * the pipeline kinds match ArchState, retired-instruction count and
 //    halt reason (their cycle accounting legitimately differs);
-//  * every rv32 kind (pre-decoded reference, PackedWord<21> datapath) is
+//  * every rv32 kind (pre-decoded reference, superblock tier) is
 //    bit-identical to the seed LazyRv32Simulator in Rv32ArchState
 //    (x-registers, every RAM byte, PC) and run statistics;
 //  * budget exhaustion reports HaltReason::kMaxCycles on every kind;
@@ -672,7 +672,7 @@ TEST(Engine, KindNamesRoundTrip) {
 
 TEST(Engine, NullImageThrows) {
   EXPECT_THROW(
-      static_cast<void>(make_engine(EngineKind::kPacked, std::shared_ptr<const DecodedImage>{})),
+      static_cast<void>(make_engine(EngineKind::kSuperblock, std::shared_ptr<const DecodedImage>{})),
       std::invalid_argument);
   EXPECT_THROW(static_cast<void>(make_engine(EngineKind::kRv32,
                                              std::shared_ptr<const rv32::Rv32DecodedImage>{})),
@@ -685,12 +685,12 @@ TEST(Engine, KindMustMatchImageIsa) {
       rv32::decode(rv32::assemble_rv32("ebreak\n"));
   EXPECT_THROW(static_cast<void>(make_engine(EngineKind::kRv32, art9_image)),
                std::invalid_argument);
-  EXPECT_THROW(static_cast<void>(make_engine(EngineKind::kPacked, rv32_image)),
+  EXPECT_THROW(static_cast<void>(make_engine(EngineKind::kSuperblock, rv32_image)),
                std::invalid_argument);
   // The EngineImage variant dispatches on the alternative.
   EXPECT_EQ(make_engine(EngineKind::kRv32, EngineImage{rv32_image})->kind(), EngineKind::kRv32);
-  EXPECT_EQ(make_engine(EngineKind::kPacked, EngineImage{art9_image})->kind(),
-            EngineKind::kPacked);
+  EXPECT_EQ(make_engine(EngineKind::kSuperblock, EngineImage{art9_image})->kind(),
+            EngineKind::kSuperblock);
 }
 
 TEST(Engine, SharedImageIsExposed) {

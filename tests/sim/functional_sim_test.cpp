@@ -177,6 +177,24 @@ TEST(FunctionalSim, FetchFromUninitialisedTimThrows) {
   EXPECT_THROW(sim.step(), SimError);
 }
 
+TEST(FunctionalSim, MalformedImmediateThrowsAtDecodeTime) {
+  // ADDI's imm3 range is [-13, 13]; 500 is unencodable.  The decoder must
+  // reject it at image-construction time — previously the reference path
+  // only threw when the instruction first *executed*.
+  isa::Program program;
+  program.code.push_back(isa::Instruction{isa::Opcode::kAddi, 1, 0, ternary::kTritZ, 500});
+  program.code.push_back(isa::Instruction::halt());
+  program.entry = 0;
+  EXPECT_THROW(static_cast<void>(decode(program)), SimError);
+  // Same for the other pre-encoded immediate forms.
+  for (isa::Opcode op : {isa::Opcode::kAndi, isa::Opcode::kLui, isa::Opcode::kLi}) {
+    isa::Program p;
+    p.code.push_back(isa::Instruction{op, 1, 0, ternary::kTritZ, 10'000});
+    p.entry = 0;
+    EXPECT_THROW(static_cast<void>(decode(p)), SimError) << isa::mnemonic(op);
+  }
+}
+
 TEST(FunctionalSim, PcWrapsAtWordBoundary) {
   // Manually-constructed program at the top of the address space.
   isa::Program p = assemble(".org 9840\nNOP\nHALT\n");

@@ -88,7 +88,7 @@ TEST(JobHandle, ResultsOutliveTheService) {
   JobHandle handle;
   {
     SimulationService service(1);
-    handle = service.submit(loop_image(), EngineKind::kPacked);
+    handle = service.submit(loop_image(), EngineKind::kSuperblock);
   }  // drain destructor: the job resolved before the pool joined
   ASSERT_TRUE(handle.ready());
   EXPECT_EQ(handle.result().outcome, JobOutcome::kCompleted);
@@ -260,7 +260,7 @@ TEST(CheckpointRetry, RecoveredRunIsBitIdenticalAtAnyThreadCount) {
 }
 
 TEST(CheckpointRetry, FaultBeforeFirstCheckpointRestartsFromScratch) {
-  std::unique_ptr<Engine> clean = make_engine(EngineKind::kPacked, loop_image());
+  std::unique_ptr<Engine> clean = make_engine(EngineKind::kSuperblock, loop_image());
   const RunResult expected = clean->run();
 
   auto plan = std::make_shared<FaultPlan>();
@@ -270,7 +270,7 @@ TEST(CheckpointRetry, FaultBeforeFirstCheckpointRestartsFromScratch) {
   controls.checkpoint_every = 256;
   controls.retries = 1;
   controls.fault = plan;
-  JobHandle handle = service.submit(loop_image(), EngineKind::kPacked, RunOptions{}, controls);
+  JobHandle handle = service.submit(loop_image(), EngineKind::kSuperblock, RunOptions{}, controls);
   const JobResult& result = handle.result();
   EXPECT_EQ(result.outcome, JobOutcome::kCompleted);
   EXPECT_EQ(result.retries, 1u);
@@ -307,7 +307,7 @@ TEST(CheckpointRetry, CheckpointedRunWithoutFaultsMatchesPlainRun) {
   // Slicing + checkpointing alone must not perturb results (the
   // accumulate_stats contract), including across the rv32 kinds.
   const RunOptions budget{50'000};
-  for (EngineKind kind : {EngineKind::kFunctional, EngineKind::kPacked, EngineKind::kLazy}) {
+  for (EngineKind kind : {EngineKind::kFunctional, EngineKind::kSuperblock, EngineKind::kLazy}) {
     std::unique_ptr<Engine> clean = make_engine(kind, loop_image());
     const RunResult expected = clean->run(budget);
     SimulationService service(1);

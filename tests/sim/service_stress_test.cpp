@@ -59,7 +59,7 @@ TEST(ServiceStress, ConcurrentSubmitCancelResubmitWhileBatchDrains) {
 
     // A background batch draining while the clients hammer the service.
     for (int i = 0; i < 24; ++i) {
-      batch.push_back(service.submit(work_image(), EngineKind::kPacked));
+      batch.push_back(service.submit(work_image(), EngineKind::kSuperblock));
       batch.push_back(service.submit(rv32_work_image(), EngineKind::kRv32));
     }
 

@@ -125,14 +125,14 @@ void add_mixed_batch(SimulationService& service) {
     const std::shared_ptr<const DecodedImage> image =
         service.add(isa::assemble(source), EngineKind::kLazy, kBudget);
     service.add(image, EngineKind::kFunctional, kBudget);
-    service.add(image, EngineKind::kPacked, kBudget);
+    service.add(image, EngineKind::kSuperblock, kBudget);
     service.add(image, EngineKind::kPipeline, kBudget);
     service.add(image, EngineKind::kPackedPipeline, kBudget);
   }
   for (const std::string& source : rv32_batch_programs()) {
     const std::shared_ptr<const rv32::Rv32DecodedImage> image =
         service.add(rv32::assemble_rv32(source), EngineKind::kRv32, kBudget);
-    service.add(image, EngineKind::kRv32Packed, kBudget);
+    service.add(image, EngineKind::kRv32Superblock, kBudget);
   }
 }
 
@@ -168,13 +168,13 @@ TEST(SimulationService, MatchesStandaloneEngineRuns) {
 TEST(SimulationService, Rv32JobsMatchStandaloneEngineRuns) {
   SimulationService service(4);
   for (const std::string& source : rv32_batch_programs()) {
-    service.add(rv32::assemble_rv32(source), EngineKind::kRv32Packed, kBudget);
+    service.add(rv32::assemble_rv32(source), EngineKind::kRv32Superblock, kBudget);
   }
   const std::vector<JobResult> results = service.run_all();
   ASSERT_EQ(results.size(), rv32_batch_programs().size());
   for (std::size_t i = 0; i < results.size(); ++i) {
     std::unique_ptr<Engine> standalone =
-        make_engine(EngineKind::kRv32Packed, rv32::assemble_rv32(rv32_batch_programs()[i]));
+        make_engine(EngineKind::kRv32Superblock, rv32::assemble_rv32(rv32_batch_programs()[i]));
     const RunResult expected = standalone->run(kBudget);
     EXPECT_EQ(results[i].run.state, expected.state) << "program " << i;
     EXPECT_EQ(results[i].run.stats, expected.stats) << "program " << i;
@@ -204,12 +204,12 @@ TEST(SimulationService, SharedImageMatchesPerJobDecode) {
 
   SimulationService service(4);
   const std::shared_ptr<const DecodedImage> image =
-      service.add(program, EngineKind::kPacked, kBudget);
-  for (int i = 0; i < 7; ++i) service.add(image, EngineKind::kPacked, kBudget);
+      service.add(program, EngineKind::kSuperblock, kBudget);
+  for (int i = 0; i < 7; ++i) service.add(image, EngineKind::kSuperblock, kBudget);
   ASSERT_EQ(service.size(), 8u);
 
   const std::vector<JobResult> results = service.run_all();
-  std::unique_ptr<Engine> standalone = make_engine(EngineKind::kPacked, program);
+  std::unique_ptr<Engine> standalone = make_engine(EngineKind::kSuperblock, program);
   const RunResult expected = standalone->run(kBudget);
   for (std::size_t i = 0; i < results.size(); ++i) {
     EXPECT_EQ(results[i].run.state, expected.state) << "job " << i;
@@ -221,7 +221,7 @@ TEST(SimulationService, RunAllIsRepeatableAndReportsBatchStats) {
   SimulationService service(0);  // hardware_concurrency default
   EXPECT_GE(service.threads(), 1u);
   service.add(isa::assemble(batch_programs()[1]), EngineKind::kFunctional, kBudget);
-  service.add(isa::assemble(batch_programs()[7]), EngineKind::kPacked, kBudget);
+  service.add(isa::assemble(batch_programs()[7]), EngineKind::kSuperblock, kBudget);
 
   SimulationService::BatchStats batch;
   const std::vector<JobResult> first = service.run_all(&batch);
@@ -260,7 +260,7 @@ TEST(SimulationService, TrappingJobDoesNotDiscardSiblingResults) {
   for (unsigned threads : {1u, 4u}) {
     SimulationService service(threads);
     service.add(isa::assemble(batch_programs()[0]), EngineKind::kFunctional, kBudget);
-    service.add(decode(trap), EngineKind::kPacked, kBudget);
+    service.add(decode(trap), EngineKind::kSuperblock, kBudget);
     service.add(isa::assemble(batch_programs()[2]), EngineKind::kPipeline, kBudget);
 
     const std::vector<JobResult> results = service.run_all();
@@ -281,7 +281,7 @@ TEST(SimulationService, TrappingJobDoesNotDiscardSiblingResults) {
 
 TEST(SimulationService, NullImageRejectedAtAdd) {
   SimulationService service(1);
-  EXPECT_THROW(service.add(std::shared_ptr<const DecodedImage>{}, EngineKind::kPacked),
+  EXPECT_THROW(service.add(std::shared_ptr<const DecodedImage>{}, EngineKind::kSuperblock),
                std::invalid_argument);
 }
 
@@ -293,25 +293,25 @@ TEST(SimulationService, MismatchedKindRejectedAtAdd) {
 
 TEST(SimulationService, TranslatedBenchmarkBatchAcrossKinds) {
   // The paper's evaluation loop as one batch: all four translated
-  // benchmarks, each on the packed and pipeline engines, scheduled wide.
+  // benchmarks, each on the superblock and pipeline engines, scheduled wide.
   xlat::SoftwareFramework framework;
   SimulationService service(0);
   std::vector<std::shared_ptr<const DecodedImage>> images;
   for (const core::BenchmarkSources* bench : core::all_benchmarks()) {
     images.push_back(decode(framework.translate(rv32::assemble_rv32(bench->rv32)).program));
-    service.add(images.back(), EngineKind::kPacked);
+    service.add(images.back(), EngineKind::kSuperblock);
     service.add(images.back(), EngineKind::kPipeline);
   }
   const std::vector<JobResult> results = service.run_all();
   ASSERT_EQ(results.size(), images.size() * 2);
   for (std::size_t b = 0; b < images.size(); ++b) {
-    const RunResult& packed = results[2 * b].run;
+    const RunResult& superblock = results[2 * b].run;
     const RunResult& pipeline = results[2 * b + 1].run;
-    EXPECT_EQ(packed.halt, HaltReason::kHalted);
+    EXPECT_EQ(superblock.halt, HaltReason::kHalted);
     EXPECT_EQ(pipeline.halt, HaltReason::kHalted);
     // Functional and cycle-accurate models agree architecturally.
-    EXPECT_EQ(packed.state.art9().trf, pipeline.state.art9().trf);
-    EXPECT_EQ(packed.stats.instructions, pipeline.stats.instructions);
+    EXPECT_EQ(superblock.state.art9().trf, pipeline.state.art9().trf);
+    EXPECT_EQ(superblock.stats.instructions, pipeline.stats.instructions);
     EXPECT_GE(pipeline.stats.cycles, pipeline.stats.instructions);
   }
 }
@@ -347,7 +347,7 @@ TEST(SimulationService, IntrospectionCountsEveryOutcomeExactlyOnce) {
       decode(isa::assemble("loop:\n  ADDI T1, 1\n  JAL T0, loop\n"));
 
   const JobHandle completed = service.submit(image, EngineKind::kFunctional, kBudget);
-  const JobHandle trapped = service.submit(decode(trap), EngineKind::kPacked, kBudget);
+  const JobHandle trapped = service.submit(decode(trap), EngineKind::kSuperblock, kBudget);
   const JobHandle exhausted =
       service.submit(spin, EngineKind::kFunctional, RunOptions{1000});
   // The cancelled job spins forever on a huge budget, so whether

@@ -327,9 +327,9 @@ TEST(Snapshot, RejectsNonzeroX0) {
 // ===========================================================================
 
 TEST(Snapshot, RestoreRejectsIsaMismatch) {
-  std::unique_ptr<Engine> art9 = make_engine(EngineKind::kPacked, isa::assemble("HALT\n"));
+  std::unique_ptr<Engine> art9 = make_engine(EngineKind::kSuperblock, isa::assemble("HALT\n"));
   EXPECT_THROW(art9->restore(sample_rv32_state()), SimError);
-  std::unique_ptr<Engine> rv = make_engine(EngineKind::kRv32Packed,
+  std::unique_ptr<Engine> rv = make_engine(EngineKind::kRv32Superblock,
                                            rv32::assemble_rv32("ebreak\n"));
   EXPECT_THROW(rv->restore(sample_art9_state()), SimError);
 

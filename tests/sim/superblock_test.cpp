@@ -235,6 +235,17 @@ TEST(SuperblockParity, TinyBudgetAgainstHaltTerminatedBlock) {
   expect_budget_sweep_identical(EngineKind::kFunctional, EngineKind::kSuperblock, program, 4);
 }
 
+TEST(SuperblockSim, InspectionAccessorsDecodeOnDemand) {
+  // The packed state decodes at the accessors; pc() derives from the
+  // fetch row, which rests on the halt instruction.
+  SuperblockSimulator sim(isa::assemble("LIMM T1, -4567\nHALT\n"));
+  EXPECT_EQ(sim.run().halt, HaltReason::kHalted);
+  EXPECT_EQ(sim.reg_int(1), -4567);
+  EXPECT_EQ(sim.reg(1), ternary::Word9::from_int(-4567));
+  EXPECT_EQ(sim.pc(), sim.unpack_state().pc);
+  EXPECT_EQ(sim.image().fetch(sim.pc()).inst, isa::Instruction::halt());
+}
+
 TEST(SuperblockTrap, MidBlockTrapReportsPreciseFaultingPc) {
   // Straight-line block that runs off the end of the program: the block
   // retires its body, then the fetch of the next row faults.  The

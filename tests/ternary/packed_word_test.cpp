@@ -1,7 +1,7 @@
 // PackedWord<N> equivalence suite: the width-generic plane-pair template
 // must agree with the reference Word<N> semantics at every width, and its
 // N == 9 instantiation must be bit-identical to the original BctWord9
-// table path that the packed simulators execute.
+// table path that the packed engines execute.
 #include "ternary/packed.hpp"
 
 #include <gtest/gtest.h>
@@ -25,7 +25,7 @@ static_assert(PackedWord<1>::kMask == 0x1u);
 static_assert(PackedWord<9>::kStates == 19683);
 static_assert(PackedWord<9>::kMaxValue == 9841);
 static_assert(PackedWord<9>::kMask == 0x1FFu);
-static_assert(PackedWord<21>::kStates == Word<21>::kStates);  // rv32 packing width
+static_assert(PackedWord<21>::kStates == Word<21>::kStates);  // covers a uint32_t
 static_assert(PackedWord<32>::kStates == Word<32>::kStates);
 static_assert(PackedWord<32>::kMask == 0xFFFFFFFFu);
 

@@ -39,7 +39,11 @@ TEST(Art9RunCli, UnknownFlagIsAUsageError) {
 }
 
 TEST(Art9RunCli, UnknownEngineIsAUsageError) {
-  EXPECT_EQ(run(std::string(ART9_RUN_BIN) + " --engine=warp prog.t9").exit_code, 2);
+  // The retired packed kinds are unknown names too.
+  for (const char* engine : {"warp", "packed", "rv32_packed"}) {
+    EXPECT_EQ(run(std::string(ART9_RUN_BIN) + " --engine=" + engine + " prog.t9").exit_code, 2)
+        << engine;
+  }
 }
 
 TEST(Art9RunCli, HelpExitsZeroAndDocumentsTheExitCodeTable) {
@@ -84,7 +88,8 @@ TEST(Art9RunCli, LanesRequiresTheFleetEngine) {
   // --lanes maps onto submit_cohort, which only packs fleet jobs: any
   // other engine is a usage error, caught before the input is touched.
   EXPECT_EQ(
-      run(std::string(ART9_RUN_BIN) + " --engine=packed --lanes 4 /nonexistent/prog.t9").exit_code,
+      run(std::string(ART9_RUN_BIN) + " --engine=superblock --lanes 4 /nonexistent/prog.t9")
+          .exit_code,
       2);
   EXPECT_EQ(run(std::string(ART9_RUN_BIN) + " --lanes 4 /nonexistent/prog.t9").exit_code, 2);
 }

@@ -4,13 +4,13 @@
 // (and exposes the service's deadline / checkpoint-retry / fault-drill
 // controls).
 //
-//   art9-run program.t9 [--engine=lazy|functional|packed|superblock|fleet|pipeline|
+//   art9-run program.t9 [--engine=lazy|functional|superblock|fleet|pipeline|
 //                                  pipeline_packed]
 //            [--lanes N] [--max-cycles N] [--dump-regs] [--dump-mem LO HI]
 //            [--no-forwarding] [--branch-in-ex] [--stats] [--trace N]
 //            [--deadline-ms N] [--checkpoint-every N] [--retries N]
 //            [--fault-at N] [--fault-seed N]
-//   art9-run program.s  --engine=rv32|rv32_superblock|rv32_packed [--max-cycles N]
+//   art9-run program.s  --engine=rv32|rv32_superblock [--max-cycles N]
 //            [--dump-regs] [--dump-mem LO HI] [...same service flags]
 //
 // ART-9 engines consume a .t9 image; the rv32 engines consume RV32I(+M)
@@ -43,27 +43,27 @@ namespace {
 int usage(bool help = false) {
   std::fprintf(help ? stdout : stderr,
                "usage: art9-run <program.t9>\n"
-               "                [--engine=lazy|functional|packed|superblock|fleet|pipeline|\n"
+               "                [--engine=lazy|functional|superblock|fleet|pipeline|\n"
                "                           pipeline_packed]\n"
                "                [--lanes N]\n"
                "                [--max-cycles N] [--dump-regs] [--dump-mem LO HI]\n"
                "                [--no-forwarding] [--branch-in-ex] [--stats] [--trace N]\n"
                "                [--deadline-ms N] [--checkpoint-every N] [--retries N]\n"
                "                [--fault-at N] [--fault-seed N]\n"
-               "       art9-run <program.s> --engine=rv32|rv32_superblock|rv32_packed\n"
+               "       art9-run <program.s> --engine=rv32|rv32_superblock\n"
                "                [--max-cycles N] [--dump-regs] [--dump-mem LO HI]\n"
                "engine defaults to pipeline (the cycle-accurate model); pipeline_packed is\n"
                "the same 5-stage model on plane-packed words; superblock and\n"
                "rv32_superblock run the block translation tier (fused macro-ops,\n"
-               "block-chained dispatch) over the fastest functional datapath of each\n"
-               "ISA; fleet runs the bit-sliced backend (32 machines per plane word) —\n"
-               "pair it with --lanes N to run N copies of the program as one\n"
-               "service cohort, reporting a per-lane outcome summary and exiting\n"
-               "with the worst lane's code (--lanes needs --engine=fleet and is\n"
-               "incompatible with the checkpoint/retry/fault flags); --trace and the\n"
-               "microarchitecture switches apply to the pipeline engines only.\n"
-               "The rv32 engines assemble RV32I(+M) source (rv32_packed holds its words\n"
-               "as 21-trit plane pairs) and dump x-registers / RAM words.\n"
+               "block-chained dispatch), on plane-packed words for ART-9 and on host\n"
+               "words for rv32; fleet runs the bit-sliced backend (32 machines per\n"
+               "plane word) — pair it with --lanes N to run N copies of the program\n"
+               "as one service cohort, reporting a per-lane outcome summary and\n"
+               "exiting with the worst lane's code (--lanes needs --engine=fleet and\n"
+               "is incompatible with the checkpoint/retry/fault flags); --trace and\n"
+               "the microarchitecture switches apply to the pipeline engines only.\n"
+               "The rv32 engines assemble RV32I(+M) source and dump x-registers /\n"
+               "RAM words.\n"
                "--deadline-ms / --checkpoint-every / --retries wire the SimulationService\n"
                "per-job controls; --fault-at / --fault-seed inject a deterministic\n"
                "transient fault (a recovery drill: pair with --checkpoint-every and\n"
