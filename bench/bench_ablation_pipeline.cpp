@@ -2,11 +2,8 @@
 // forwarding, branch-in-ID resolution, regfile write-through — in Dhrystone
 // cycles AND in gates/delay on the CNTFET fabric.
 //
-// The sweep runs on the plane-packed pipeline (EngineKind::kPackedPipeline,
-// ~2x the reference datapath's wall-clock), constructed through the engine
-// facade; the baseline row is additionally replayed on the reference
-// pipeline as a live parity column (the full-matrix equivalence is locked
-// by tests/sim/packed_pipeline_test.cpp).
+// The sweep runs on the cycle-accurate pipeline (EngineKind::kPipeline),
+// constructed through the engine facade.
 #include <cstdio>
 #include <memory>
 
@@ -73,8 +70,6 @@ int main() {
 
   const std::shared_ptr<const sim::DecodedImage> image = sim::decode(dhry.program);
 
-  uint64_t baseline_cycles = 0;
-  uint64_t reference_cycles = 0;  // baseline config on the reference datapath
   std::printf("  %-28s %10s %8s %8s %8s %8s | %7s %9s\n", "configuration", "cycles", "CPI",
               "ld-use", "br-stall", "flushes", "gates", "clock");
   bench::rule();
@@ -82,15 +77,8 @@ int main() {
     sim::EngineOptions options;
     options.pipeline = config.pipeline;
     const std::unique_ptr<sim::Engine> engine =
-        sim::make_engine(sim::EngineKind::kPackedPipeline, image, options);
+        sim::make_engine(sim::EngineKind::kPipeline, image, options);
     const sim::SimStats stats = engine->run_stats({});
-    if (baseline_cycles == 0) {
-      baseline_cycles = stats.cycles;
-      // Parity column: the same config on the reference pipeline datapath.
-      const std::unique_ptr<sim::Engine> reference =
-          sim::make_engine(sim::EngineKind::kPipeline, image, options);
-      reference_cycles = reference->run_stats({}).cycles;
-    }
 
     tech::DatapathOptions dp;
     dp.ex_forwarding = config.pipeline.ex_forwarding;
@@ -107,12 +95,8 @@ int main() {
                 hwr.max_clock_mhz);
   }
   bench::rule();
-  std::printf("  parity: reference-pipeline baseline = %llu cycles (packed: %llu) — %s\n",
-              static_cast<unsigned long long>(reference_cycles),
-              static_cast<unsigned long long>(baseline_cycles),
-              reference_cycles == baseline_cycles ? "identical" : "MISMATCH");
   bench::note("Reading: the paper's design point (row 1) buys its CPI with the");
   bench::note("forwarding muxes and the ID-stage branch unit; each ablation shows");
   bench::note("what that mechanism costs in cycles and saves in gates.");
-  return reference_cycles == baseline_cycles ? 0 : 1;
+  return 0;
 }

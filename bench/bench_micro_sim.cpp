@@ -95,10 +95,15 @@ const MixedCorpus& mixed_corpus() {
 uint64_t run_mixed_batch(unsigned threads) {
   const MixedCorpus& corpus = mixed_corpus();
   sim::SimulationService service(threads);
-  for (const auto& image : corpus.art9) service.add(image, sim::EngineKind::kSuperblock);
-  for (const auto& image : corpus.rv32) service.add(image, sim::EngineKind::kRv32);
+  std::vector<sim::JobHandle> handles;
+  for (const auto& image : corpus.art9) {
+    handles.push_back(service.submit(image, sim::EngineKind::kSuperblock));
+  }
+  for (const auto& image : corpus.rv32) {
+    handles.push_back(service.submit(image, sim::EngineKind::kRv32));
+  }
   uint64_t instructions = 0;
-  for (const sim::JobResult& r : service.run_all()) instructions += r.run.stats.instructions;
+  for (const sim::JobHandle& h : handles) instructions += h.result().run.stats.instructions;
   return instructions;
 }
 
@@ -122,8 +127,11 @@ void BM_SimulationServiceDhrystone8(benchmark::State& state, unsigned threads) {
   uint64_t instructions = 0;
   for (auto _ : state) {
     sim::SimulationService service(threads);
-    for (int i = 0; i < 8; ++i) service.add(dhrystone_image(), sim::EngineKind::kSuperblock);
-    for (const sim::JobResult& r : service.run_all()) instructions += r.run.stats.instructions;
+    std::vector<sim::JobHandle> handles;
+    for (int i = 0; i < 8; ++i) {
+      handles.push_back(service.submit(dhrystone_image(), sim::EngineKind::kSuperblock));
+    }
+    for (const sim::JobHandle& h : handles) instructions += h.result().run.stats.instructions;
   }
   state.counters["steps/s"] =
       benchmark::Counter(static_cast<double>(instructions), benchmark::Counter::kIsRate);
@@ -224,15 +232,17 @@ double fleet_rate(unsigned lanes) {
   });
 }
 
-/// Cohort scheduling end to end: `jobs` same-image fleet jobs packed
-/// transparently by run_all — measured in jobs resolved per second.
+/// Cohort scheduling end to end: `jobs` same-image fleet jobs through
+/// submit_cohort — measured in jobs resolved per second.
 double cohort_jobs_rate(unsigned threads, int jobs) {
   return bench::median_rate([&] {
     sim::SimulationService service(threads);
-    for (int i = 0; i < jobs; ++i) service.add(dhrystone_image(), sim::EngineKind::kFleet);
+    const sim::SimulationService::Job job{sim::EngineImage(dhrystone_image()),
+                                          sim::EngineKind::kFleet, {}, {}, {}};
     uint64_t completed = 0;
-    for (const sim::JobResult& r : service.run_all()) {
-      completed += r.outcome == sim::JobOutcome::kCompleted ? 1 : 0;
+    for (const sim::JobHandle& h :
+         service.submit_cohort(std::vector<sim::SimulationService::Job>(jobs, job))) {
+      completed += h.result().outcome == sim::JobOutcome::kCompleted ? 1 : 0;
     }
     return completed;
   });
@@ -241,9 +251,12 @@ double cohort_jobs_rate(unsigned threads, int jobs) {
 double batch_rate(unsigned threads, int jobs) {
   return bench::median_rate([&] {
     sim::SimulationService service(threads);
-    for (int i = 0; i < jobs; ++i) service.add(dhrystone_image(), sim::EngineKind::kSuperblock);
+    std::vector<sim::JobHandle> handles;
+    for (int i = 0; i < jobs; ++i) {
+      handles.push_back(service.submit(dhrystone_image(), sim::EngineKind::kSuperblock));
+    }
     uint64_t instructions = 0;
-    for (const sim::JobResult& r : service.run_all()) instructions += r.run.stats.instructions;
+    for (const sim::JobHandle& h : handles) instructions += h.result().run.stats.instructions;
     return instructions;
   });
 }
@@ -353,14 +366,11 @@ int run_json_report(const std::string& path) {
   const double predecoded = engine_rate(sim::EngineKind::kFunctional);
   const double superblock = engine_rate(sim::EngineKind::kSuperblock);
   const double pipeline = engine_rate(sim::EngineKind::kPipeline);
-  const double pipeline_packed = engine_rate(sim::EngineKind::kPackedPipeline);
   bench::note("lazy decode-on-fetch:   " + std::to_string(lazy / 1e6) + " M steps/s");
   bench::note("pre-decoded dispatch:   " + std::to_string(predecoded / 1e6) + " M steps/s");
   bench::note("superblock tier:        " + std::to_string(superblock / 1e6) + " M steps/s");
   bench::note("pipeline (cycles/s):    " + std::to_string(pipeline / 1e6) + " M steps/s");
-  bench::note("packed pipeline:        " + std::to_string(pipeline_packed / 1e6) + " M steps/s");
   bench::note("superblock / predec:    x" + std::to_string(superblock / predecoded));
-  bench::note("packed pipe / pipe:     x" + std::to_string(pipeline_packed / pipeline));
 
   bench::heading("rv32 engine steps/s — source Dhrystone (single stream)");
   const double rv32_predecoded = engine_rate(sim::EngineKind::kRv32);
@@ -383,7 +393,7 @@ int run_json_report(const std::string& path) {
   bench::note("fleet / superblock:     x" +
               std::to_string(superblock > 0.0 ? fleet / superblock : 0.0));
   bench::note("cohort round trips:     " + std::to_string(cohort_jobs) + " jobs/s (" +
-              std::to_string(kCohortJobs) + " Dhrystones via run_all packing)");
+              std::to_string(kCohortJobs) + " Dhrystones via submit_cohort)");
 
   bench::heading("batch_parallel — SimulationService, 8 superblock Dhrystone jobs");
   constexpr int kJobs = 8;
@@ -438,9 +448,7 @@ int run_json_report(const std::string& path) {
   json.add("predecoded_steps_per_sec", predecoded);
   json.add("superblock_steps_per_sec", superblock);
   json.add("pipeline_cycles_per_sec", pipeline);
-  json.add("pipeline_packed_cycles_per_sec", pipeline_packed);
   json.add("predecoded_vs_lazy", lazy > 0.0 ? predecoded / lazy : 0.0);
-  json.add("pipeline_packed_vs_pipeline", pipeline > 0.0 ? pipeline_packed / pipeline : 0.0);
   json.add("rv32_predecoded_steps_per_sec", rv32_predecoded);
   json.add("rv32_superblock_steps_per_sec", rv32_superblock);
   json.add("rv32_superblock_vs_predecoded",

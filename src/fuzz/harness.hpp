@@ -9,7 +9,7 @@
 //     on every other ART-9 kind against the lazy (seed-loop) reference —
 //     MachineState, SimStats and retired-instruction observer streams at
 //     a randomized budget for the functional kinds; architectural state,
-//     retire count and stream at halt for the pipeline kinds — plus a
+//     retire count and stream at halt for the pipeline kind — plus a
 //     snapshot leg: freeze kind A mid-run, serialize -> deserialize,
 //     resume on kind B, and the final state must equal never having
 //     been interrupted.

@@ -172,9 +172,10 @@ HttpResponse SimulationServer::post_job(const HttpRequest& request) {
     const bool rv32_image = image->index() == 1;
 
     // "engine" takes any sim::parse_engine_kind name of the image's ISA
-    // — art9: lazy | functional | superblock | fleet | pipeline |
-    // pipeline_packed; rv32: rv32 | rv32_superblock — defaulting to the golden functional model of that ISA ("rv32" /
-    // "functional"; pick the superblock kinds for throughput).
+    // — art9: lazy | functional | superblock | fleet | pipeline; rv32:
+    // rv32 | rv32_superblock — defaulting to the golden functional model
+    // of that ISA ("rv32" / "functional"; pick the superblock kinds for
+    // throughput).
     const std::string engine = doc.get_string("engine", rv32_image ? "rv32" : "functional");
     const std::optional<sim::EngineKind> parsed = sim::parse_engine_kind(engine);
     if (!parsed) throw json::JsonError("unknown engine '" + engine + "'");

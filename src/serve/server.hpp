@@ -9,9 +9,8 @@
 //            "deadline_ms", "checkpoint_every", "retries",
 //            "retry_backoff_ms", "slice_steps"}
 //            "engine" is any kind name of the image's ISA (art9: lazy |
-//            functional | superblock | fleet | pipeline |
-//            pipeline_packed; rv32: rv32 | rv32_superblock), defaulting
-//            per ISA to the golden model
+//            functional | superblock | fleet | pipeline; rv32: rv32 |
+//            rv32_superblock), defaulting per ISA to the golden model
 //            -> 202 {"job": id}   (or a structured 429 admission reject)
 //   GET    /v1/jobs/{id}    -> status/result JSON; the six JobOutcomes
 //            carry the exact exit codes art9-run maps them to

@@ -7,7 +7,6 @@
 #include "rv32/rv32_superblock.hpp"
 #include "sim/fleet.hpp"
 #include "sim/functional_sim.hpp"
-#include "sim/packed_pipeline.hpp"
 #include "sim/superblock.hpp"
 
 namespace art9::sim {
@@ -24,8 +23,6 @@ std::string_view engine_kind_name(EngineKind kind) noexcept {
       return "fleet";
     case EngineKind::kPipeline:
       return "pipeline";
-    case EngineKind::kPackedPipeline:
-      return "pipeline_packed";
     case EngineKind::kRv32:
       return "rv32";
     case EngineKind::kRv32Superblock:
@@ -177,14 +174,11 @@ class FleetEngine final : public FunctionalEngineBase {
   FleetSimulator sim_;
 };
 
-/// The cycle-accurate pipelines behind the same contract: step() is one
+/// The cycle-accurate pipeline behind the same contract: step() is one
 /// clock, run()'s budget is a cycle budget, and stats carry the full
 /// microarchitectural accounting.  The retired-instruction observer rides
 /// the WB retire hook, so it sees exactly the same stream (instruction,
-/// pc, index) the functional kinds produce.  One template serves both
-/// datapaths: Sim is PipelineSimulator (kPipeline) or
-/// PackedPipelineSimulator (kPackedPipeline).
-template <class Sim, EngineKind Kind>
+/// pc, index) the functional kinds produce.
 class PipelineEngine final : public Engine {
  public:
   PipelineEngine(std::shared_ptr<const DecodedImage> image, const EngineOptions& options)
@@ -205,7 +199,7 @@ class PipelineEngine final : public Engine {
     return a;  // halt carries the outcome of this run
   }
 
-  [[nodiscard]] EngineKind kind() const noexcept override { return Kind; }
+  [[nodiscard]] EngineKind kind() const noexcept override { return EngineKind::kPipeline; }
 
   bool step() override { return sim_.step(); }
 
@@ -251,7 +245,7 @@ class PipelineEngine final : public Engine {
 
  private:
   std::shared_ptr<const DecodedImage> image_;
-  Sim sim_;
+  PipelineSimulator sim_;
 };
 
 /// The RV32 baseline backends behind the same contract.  One template
@@ -318,12 +312,7 @@ std::unique_ptr<Engine> make_engine(EngineKind kind, std::shared_ptr<const Decod
     case EngineKind::kFleet:
       return std::make_unique<FleetEngine>(std::move(image));
     case EngineKind::kPipeline:
-      return std::make_unique<PipelineEngine<PipelineSimulator, EngineKind::kPipeline>>(
-          std::move(image), options);
-    case EngineKind::kPackedPipeline:
-      return std::make_unique<
-          PipelineEngine<PackedPipelineSimulator, EngineKind::kPackedPipeline>>(std::move(image),
-                                                                                options);
+      return std::make_unique<PipelineEngine>(std::move(image), options);
     case EngineKind::kRv32:
     case EngineKind::kRv32Superblock:
       throw std::invalid_argument("make_engine: rv32 kind needs an Rv32DecodedImage");

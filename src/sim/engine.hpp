@@ -5,10 +5,9 @@
 // PicoRV32/VexRiscv timing models of Tables II/III) are compared against
 // the translated ART-9 ternary core.  The facade therefore spans
 //
-//   * the six ART-9 kinds (lazy decode-on-fetch, pre-decoded dispatch,
+//   * the five ART-9 kinds (lazy decode-on-fetch, pre-decoded dispatch,
 //     the superblock translation tier on the plane-packed datapath, the
-//     bit-sliced fleet, and the cycle-accurate pipeline on the reference
-//     or the plane-packed datapath), and
+//     bit-sliced fleet, and the cycle-accurate pipeline), and
 //   * the two RV32 kinds (pre-decoded dispatch and the superblock
 //     translation tier over it),
 //
@@ -20,9 +19,9 @@
 //
 // Contract guarantees, locked by tests/sim/engine_conformance_test.cpp:
 //  * all functional kinds of one ISA produce bit-identical MachineState
-//    and SimStats on the same program and budget (the pipeline kinds
-//    match ArchState and retired-instruction count; their cycle
-//    accounting is their whole point);
+//    and SimStats on the same program and budget (the pipeline kind
+//    matches ArchState and retired-instruction count; its cycle
+//    accounting is its whole point);
 //  * budget exhaustion is reported as HaltReason::kMaxCycles by every
 //    kind — never left defaulted;
 //  * the retired-instruction observer is zero-cost when unset: engines
@@ -52,23 +51,24 @@
 
 namespace art9::sim {
 
-/// Every execution backend the facade can construct.
+/// Every execution backend the facade can construct.  The values are
+/// stable identifiers (fuzz repro bytes decode them) and never reused:
+/// 4 was the retired plane-packed pipeline.
 enum class EngineKind : uint8_t {
-  kLazy,            // seed decode-on-fetch loop (baseline for differential runs)
-  kFunctional,      // pre-decoded dispatch fast path (golden model)
-  kSuperblock,      // superblock translation tier over the plane-packed datapath
-  kPipeline,        // cycle-accurate 5-stage pipeline (reference datapath)
-  kPackedPipeline,  // the same 5-stage control logic over plane-packed words
-  kRv32,            // RV32 baseline, pre-decoded dispatch (reference model)
-  kRv32Superblock,  // RV32 superblock translation tier (fused macro-ops)
-  kFleet,           // bit-sliced fleet: 32 ART-9 machines per plane word
+  kLazy = 0,            // seed decode-on-fetch loop (baseline for differential runs)
+  kFunctional = 1,      // pre-decoded dispatch fast path (golden model)
+  kSuperblock = 2,      // superblock translation tier over the plane-packed datapath
+  kPipeline = 3,        // cycle-accurate 5-stage pipeline
+  kRv32 = 5,            // RV32 baseline, pre-decoded dispatch (reference model)
+  kRv32Superblock = 6,  // RV32 superblock translation tier (fused macro-ops)
+  kFleet = 7,           // bit-sliced fleet: 32 ART-9 machines per plane word
 };
 
 /// All kinds, in factory order — for generic sweeps (benches, conformance).
-[[nodiscard]] constexpr std::array<EngineKind, 8> all_engine_kinds() noexcept {
-  return {EngineKind::kLazy,     EngineKind::kFunctional,     EngineKind::kSuperblock,
-          EngineKind::kFleet,    EngineKind::kPipeline,       EngineKind::kPackedPipeline,
-          EngineKind::kRv32,     EngineKind::kRv32Superblock};
+[[nodiscard]] constexpr std::array<EngineKind, 7> all_engine_kinds() noexcept {
+  return {EngineKind::kLazy,     EngineKind::kFunctional, EngineKind::kSuperblock,
+          EngineKind::kFleet,    EngineKind::kPipeline,   EngineKind::kRv32,
+          EngineKind::kRv32Superblock};
 }
 
 /// True for the kinds that execute RV32 programs (an Rv32DecodedImage);
@@ -77,10 +77,10 @@ enum class EngineKind : uint8_t {
   return kind == EngineKind::kRv32 || kind == EngineKind::kRv32Superblock;
 }
 
-/// The six ART-9 kinds, in factory order.
-[[nodiscard]] constexpr std::array<EngineKind, 6> art9_engine_kinds() noexcept {
-  return {EngineKind::kLazy,  EngineKind::kFunctional, EngineKind::kSuperblock,
-          EngineKind::kFleet, EngineKind::kPipeline,   EngineKind::kPackedPipeline};
+/// The five ART-9 kinds, in factory order.
+[[nodiscard]] constexpr std::array<EngineKind, 5> art9_engine_kinds() noexcept {
+  return {EngineKind::kLazy, EngineKind::kFunctional, EngineKind::kSuperblock, EngineKind::kFleet,
+          EngineKind::kPipeline};
 }
 
 /// The two RV32 kinds, in factory order.
@@ -88,14 +88,14 @@ enum class EngineKind : uint8_t {
   return {EngineKind::kRv32, EngineKind::kRv32Superblock};
 }
 
-/// True for the cycle-accurate kinds (step() is one clock, budgets are
+/// True for the cycle-accurate kind (step() is one clock, budgets are
 /// cycle counts, SimStats carry the microarchitectural accounting).
 [[nodiscard]] constexpr bool is_cycle_accurate(EngineKind kind) noexcept {
-  return kind == EngineKind::kPipeline || kind == EngineKind::kPackedPipeline;
+  return kind == EngineKind::kPipeline;
 }
 
 /// Stable lower-case name ("lazy", "functional", "superblock", "fleet",
-/// "pipeline", "pipeline_packed", "rv32", "rv32_superblock") — the
+/// "pipeline", "rv32", "rv32_superblock") — the
 /// vocabulary of art9-run's --engine= flag and the bench JSON keys.
 [[nodiscard]] std::string_view engine_kind_name(EngineKind kind) noexcept;
 
@@ -107,8 +107,8 @@ enum class EngineKind : uint8_t {
 /// `pipeline.max_cycles` caps each run() of a cycle-accurate engine in
 /// addition to RunOptions::max_steps (the tighter budget wins).
 struct EngineOptions {
-  PipelineConfig pipeline;  // microarchitecture switches (both pipeline kinds)
-  TraceObserver tracer;     // per-cycle pipeline trace stream (both pipeline kinds)
+  PipelineConfig pipeline;  // microarchitecture switches (pipeline kind)
+  TraceObserver tracer;     // per-cycle pipeline trace stream (pipeline kind)
   std::size_t rv32_ram_bytes = 1u << 20;  // data RAM of the rv32 kinds
 };
 

@@ -5,8 +5,8 @@
 //
 // Every packed datapath dispatches here: the superblock tier's unrolled
 // body handlers (a constant kind folds the switch away), its fused
-// LOAD+op slot and per-instruction slow path, the fleet's per-lane tail
-// and the packed pipeline's EX stage (PackedPipelineDatapath::alu).
+// LOAD+op slot and per-instruction slow path, and the fleet's per-lane
+// tail.
 #pragma once
 
 #include <cstdint>
@@ -89,13 +89,6 @@ namespace art9::sim {
   }
 }
 
-/// packed_alu over a packed TIM row's own operand word and immediate.
-[[nodiscard]] ART9_PACKED_FORCE_INLINE ternary::BctWord9 packed_alu(const PackedOp& op,
-                                                                    const ternary::BctWord9& a,
-                                                                    const ternary::BctWord9& b) {
-  return packed_alu(op.kind, a, b, op.word(), op.imm);
-}
-
 /// Executes one packed TIM row on `m` — the per-instruction semantics of
 /// every packed engine that steps rows (the superblock tier's observed
 /// runs and partial-block tails, the fleet's per-lane tail).  `m` says
@@ -141,7 +134,7 @@ ART9_PACKED_FORCE_INLINE bool packed_step(Machine& m, const PackedOp& op, uint32
     case DispatchKind::kInvalid:
       throw SimError("fetch from uninitialised TIM address " + std::to_string(op.pc));
     default:
-      m.set_reg(op.ta, packed_alu(op, m.reg(op.ta), m.reg(op.tb)));
+      m.set_reg(op.ta, packed_alu(op.kind, m.reg(op.ta), m.reg(op.tb), op.word(), op.imm));
       break;
   }
   row = op.next_row;

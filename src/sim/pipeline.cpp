@@ -1,14 +1,439 @@
 #include "sim/pipeline.hpp"
 
+#include <string>
 #include <utility>
 
+#include "sim/talu.hpp"
+
 namespace art9::sim {
+namespace {
+
+int64_t pc_of(const DecodedOp* op) { return op ? op->pc : 0; }
+
+const isa::Instruction& inst_of(const DecodedOp* op) {
+  static const isa::Instruction kEmpty{};
+  return op ? op->inst : kEmpty;
+}
+
+}  // namespace
 
 PipelineSimulator::PipelineSimulator(const isa::Program& program, PipelineConfig config)
     : PipelineSimulator(decode(program), config) {}
 
 PipelineSimulator::PipelineSimulator(std::shared_ptr<const DecodedImage> image,
                                      PipelineConfig config)
-    : PipelineModel(std::move(image), config) {}
+    : config_(config), image_(std::move(image)) {
+  load_data(image_->program(), state_);
+}
+
+SimStats PipelineSimulator::run(uint64_t max_cycles) {
+  while (stats_.cycles < max_cycles) {
+    if (!step()) return stats_;
+  }
+  stats_.halt = HaltReason::kMaxCycles;
+  return stats_;
+}
+
+ArchState PipelineSimulator::checkpoint() {
+  const int64_t resume_pc = drain_to_boundary();
+  ArchState snapshot = state_;
+  snapshot.pc = resume_pc;
+  restore_state(snapshot);
+  return snapshot;
+}
+
+void PipelineSimulator::restore_state(const ArchState& state) {
+  state_ = state;
+  ifid_ = IfId{};
+  idex_ = IdEx{};
+  exmem_ = ExMem{};
+  memwb_ = MemWb{};
+  fetch_stopped_ = false;
+  halted_ = false;
+}
+
+int64_t PipelineSimulator::drain_to_boundary() {
+  if (halted_) return halt_pc_;
+  int64_t resume_pc = ifid_.valid ? ifid_.op->pc : state_.pc;
+  ifid_ = IfId{};
+  fetch_stopped_ = true;
+  while (idex_.valid || exmem_.valid || memwb_.valid) {
+    const uint64_t flushes_before = stats_.flush_taken_branch;
+    if (!step()) return halt_pc_;
+    if (stats_.flush_taken_branch != flushes_before) resume_pc = state_.pc;
+  }
+  return resume_pc;
+}
+
+bool PipelineSimulator::step() {
+  ++stats_.cycles;
+
+  CycleTrace trace;
+  if (tracer_) {
+    trace.cycle = stats_.cycles;
+    trace.fetch_active = !fetch_stopped_;
+    trace.fetch_pc = state_.pc;
+    trace.stages[0] = {ifid_.valid, pc_of(ifid_.op), inst_of(ifid_.op)};
+    trace.stages[1] = {idex_.valid, pc_of(idex_.op), inst_of(idex_.op)};
+    trace.stages[2] = {exmem_.valid, pc_of(exmem_.op), inst_of(exmem_.op)};
+    trace.stages[3] = {memwb_.valid, pc_of(memwb_.op), inst_of(memwb_.op)};
+  }
+
+  // ==== WB =================================================================
+  // Executes "first" so that, with regfile_write_through, the ID reads
+  // later this cycle observe the write (read-during-write bypass).
+  bool retire_halt = false;
+  struct PendingWrite {
+    bool valid = false;
+    int rd = 0;
+    Word value{};
+  } pending_write;
+  if (memwb_.valid) {
+    if (memwb_.is_halt) {
+      retire_halt = true;
+      halted_ = true;
+      halt_pc_ = memwb_.op->pc;
+    } else {
+      ++stats_.instructions;
+      if (retire_observer_) retire_observer_(memwb_.op->inst, memwb_.op->pc, stats_.instructions - 1);
+      if (writes_reg(memwb_.op)) {
+        if (config_.regfile_write_through) {
+          state_.trf.write(memwb_.op->inst.ta, memwb_.result);
+        } else {
+          pending_write = {true, memwb_.op->inst.ta, memwb_.result};
+        }
+      }
+    }
+  }
+
+  // ==== MEM ================================================================
+  MemWb memwb_next;
+  if (exmem_.valid) {
+    memwb_next.valid = true;
+    memwb_next.is_halt = exmem_.is_halt;
+    memwb_next.op = exmem_.op;
+    if (exmem_.op->kind == DispatchKind::kLoad) {
+      memwb_next.result = state_.tdm.read(exmem_.result.to_int());
+    } else if (exmem_.op->kind == DispatchKind::kStore) {
+      state_.tdm.write(exmem_.result.to_int(), exmem_.store_val);
+    } else {
+      memwb_next.result = exmem_.result;
+    }
+  }
+
+  // ==== EX =================================================================
+  // Operand forwarding.  Priority: EX/MEM (distance 1), MEM/WB (distance
+  // 2); distance 3 is covered by the write-through read in ID (or by a
+  // one-cycle interlock when write-through is disabled).
+  auto forward_operand = [&](int reg, const Word& id_read) -> Word {
+    if (config_.ex_forwarding) {
+      if (exmem_.valid && writes_reg(exmem_.op) && exmem_.op->inst.ta == reg &&
+          exmem_.op->kind != DispatchKind::kLoad) {
+        return exmem_.result;
+      }
+      if (memwb_.valid && writes_reg(memwb_.op) && memwb_.op->inst.ta == reg) {
+        return memwb_.result;
+      }
+    }
+    return id_read;
+  };
+
+  ExMem exmem_next;
+  bool ex_redirect = false;       // branch_in_id == false: EX resolves control flow
+  int64_t ex_redirect_target = 0;
+  bool ex_sees_halt = false;
+  // EX combinational result, visible to the ID condition checker this cycle.
+  bool ex_value_ready = false;
+  Word ex_value{};
+  int ex_value_rd = -1;
+  if (idex_.valid) {
+    const DecodedOp& op = *idex_.op;
+    const isa::OpcodeSpec& s = isa::spec(op.inst.op);
+    const Word a = s.reads_ta ? forward_operand(op.inst.ta, idex_.a) : idex_.a;
+    const Word b = s.reads_tb ? forward_operand(op.inst.tb, idex_.b) : idex_.b;
+
+    exmem_next.valid = true;
+    exmem_next.is_halt = idex_.is_halt;
+    exmem_next.op = idex_.op;
+    switch (op.kind) {
+      case DispatchKind::kLoad:
+      case DispatchKind::kStore:
+        exmem_next.result = Word::from_int_wrapped(b.to_int() + op.inst.imm);
+        exmem_next.store_val = a;
+        break;
+      case DispatchKind::kHalt:
+      case DispatchKind::kJal:
+      case DispatchKind::kJalr:
+        exmem_next.result = op.link;
+        if (!config_.branch_in_id && !idex_.is_halt) {
+          if (op.kind == DispatchKind::kHalt) {
+            ex_sees_halt = true;
+            exmem_next.is_halt = true;
+          } else if (op.kind == DispatchKind::kJal) {
+            ex_redirect = true;
+            ex_redirect_target = op.taken_pc;
+          } else {
+            const int64_t target = ArchState::wrap(b.to_int() + op.inst.imm);
+            if (target == op.pc) {
+              ex_sees_halt = true;
+              exmem_next.is_halt = true;
+            } else {
+              ex_redirect = true;
+              ex_redirect_target = target;
+            }
+          }
+        }
+        break;
+      case DispatchKind::kBeq:
+      case DispatchKind::kBne:
+        if (!config_.branch_in_id) {
+          const bool eq = b.lst().value() == op.inst.bcond.value();
+          const bool taken = op.kind == DispatchKind::kBeq ? eq : !eq;
+          if (taken) {
+            ex_redirect = true;
+            ex_redirect_target = op.taken_pc;
+          }
+        }
+        break;
+      default:
+        exmem_next.result = execute(op, a, b);
+        break;
+    }
+    if (writes_reg(idex_.op) && op.kind != DispatchKind::kLoad && !exmem_next.is_halt) {
+      ex_value_ready = true;
+      ex_value = exmem_next.result;
+      ex_value_rd = op.inst.ta;
+    }
+  }
+
+  // ==== ID =================================================================
+  IdEx idex_next;
+  bool stall = false;
+  CycleEvent stall_kind = CycleEvent::kNone;
+  bool id_redirect = false;
+  int64_t id_redirect_target = 0;
+  bool id_sees_halt = false;
+
+  // A poisoned entry only traps if nothing squashes it this cycle (an
+  // EX-resolved redirect may still kill it); checked after the IF section.
+  const bool poison_pending = ifid_.valid && ifid_.poisoned;
+  if (ifid_.valid && !ifid_.poisoned) {
+    const DecodedOp& op = *ifid_.op;
+    const isa::OpcodeSpec& s = isa::spec(op.inst.op);
+
+    // Is `reg` produced by an instruction still in flight (for stall
+    // decisions)?  `allow_exmem`/`allow_memwb` say whether a forwarding
+    // path can cover that distance for this consumer.
+    auto in_flight_hazard = [&](int reg, bool allow_ex_fwd, bool allow_exmem_fwd,
+                                bool allow_memwb_fwd) -> bool {
+      if (idex_.valid && writes_reg(idex_.op) && idex_.op->inst.ta == reg) {
+        if (idex_.op->kind == DispatchKind::kLoad) return true;  // data not ready before MEM
+        if (!allow_ex_fwd) return true;
+      }
+      if (exmem_.valid && writes_reg(exmem_.op) && exmem_.op->inst.ta == reg) {
+        // A load's data is being read from the TDM this very cycle; an ID
+        // consumer cannot see it until it lands in MEM/WB.
+        if (exmem_.op->kind == DispatchKind::kLoad) return true;
+        if (!allow_exmem_fwd) return true;
+      }
+      if (memwb_.valid && writes_reg(memwb_.op) && memwb_.op->inst.ta == reg) {
+        // With write-through, WB already updated the TRF this cycle.
+        if (!config_.regfile_write_through && !allow_memwb_fwd) return true;
+      }
+      return false;
+    };
+
+    // --- EX-stage operand hazards (ALU/memory consumers) -----------------
+    const bool needs_a_in_ex = s.reads_ta;
+    const bool needs_b_in_ex =
+        s.reads_tb && !(config_.branch_in_id && (s.is_branch || op.kind == DispatchKind::kJalr));
+    uint64_t* stall_counter = nullptr;
+    if (config_.ex_forwarding) {
+      // Only load-use distance-1 stalls remain.
+      auto load_use = [&](int reg) {
+        return idex_.valid && idex_.op->kind == DispatchKind::kLoad && idex_.op->inst.ta == reg;
+      };
+      if ((needs_a_in_ex && load_use(op.inst.ta)) || (needs_b_in_ex && load_use(op.inst.tb))) {
+        stall = true;
+        stall_counter = &stats_.stall_load_use;
+        stall_kind = CycleEvent::kLoadUseStall;
+      }
+    } else {
+      if ((needs_a_in_ex && in_flight_hazard(op.inst.ta, false, false, false)) ||
+          (needs_b_in_ex && in_flight_hazard(op.inst.tb, false, false, false))) {
+        stall = true;
+        stall_counter = &stats_.stall_raw;
+        stall_kind = CycleEvent::kRawStall;
+      }
+    }
+    // Without the read-during-write bypass, a distance-3 producer is
+    // writing the TRF this very cycle: the stale ID read must retry.
+    if (!stall && !config_.regfile_write_through) {
+      auto wb_now = [&](int reg) {
+        return memwb_.valid && writes_reg(memwb_.op) && memwb_.op->inst.ta == reg;
+      };
+      if ((needs_a_in_ex && wb_now(op.inst.ta)) || (needs_b_in_ex && wb_now(op.inst.tb))) {
+        stall = true;
+        stall_counter = &stats_.stall_raw;
+        stall_kind = CycleEvent::kRawStall;
+      }
+    }
+
+    // --- ID-stage consumers: branch condition and JALR base --------------
+    Word id_b_value{};  // resolved TRF[Tb] for ID-stage use
+    if (!stall && config_.branch_in_id && (s.is_branch || op.kind == DispatchKind::kJalr)) {
+      const bool is_jalr = op.kind == DispatchKind::kJalr;
+      // JALR's 9-trit base has no EX combinational bypass (long path —
+      // paper forwards only the one-trit condition from EX).
+      const bool allow_ex_fwd = config_.id_forwarding && !is_jalr;
+      const bool allow_exmem_fwd = config_.id_forwarding;
+      const bool allow_memwb_fwd = config_.id_forwarding;
+      if (in_flight_hazard(op.inst.tb, allow_ex_fwd, allow_exmem_fwd, allow_memwb_fwd)) {
+        stall = true;
+        stall_counter = &stats_.stall_branch_hazard;
+        stall_kind = CycleEvent::kBranchHazardStall;
+      } else {
+        // Resolve the value through the allowed paths, newest first.
+        if (allow_ex_fwd && ex_value_ready && ex_value_rd == op.inst.tb) {
+          id_b_value = ex_value;
+        } else if (config_.id_forwarding && exmem_.valid && writes_reg(exmem_.op) &&
+                   exmem_.op->inst.ta == op.inst.tb && exmem_.op->kind != DispatchKind::kLoad) {
+          id_b_value = exmem_.result;
+        } else if (!config_.regfile_write_through && config_.id_forwarding && memwb_.valid &&
+                   writes_reg(memwb_.op) && memwb_.op->inst.ta == op.inst.tb) {
+          id_b_value = memwb_.result;
+        } else {
+          id_b_value = state_.trf.read(op.inst.tb);
+        }
+      }
+    }
+
+    if (stall) {
+      ++*stall_counter;
+    } else {
+      // Control-flow resolution in ID.
+      if (op.kind == DispatchKind::kHalt) {
+        id_sees_halt = true;
+      } else if (config_.branch_in_id) {
+        switch (op.kind) {
+          case DispatchKind::kBeq:
+          case DispatchKind::kBne: {
+            const bool eq = id_b_value.lst().value() == op.inst.bcond.value();
+            const bool taken = op.kind == DispatchKind::kBeq ? eq : !eq;
+            if (taken != ifid_.predicted_taken) {
+              id_redirect = true;
+              id_redirect_target = taken ? op.taken_pc : op.next_pc;
+              if (ifid_.predicted_taken) ++stats_.predictions_wrong;
+            } else if (ifid_.predicted_taken) {
+              ++stats_.predictions_correct;  // bubble avoided
+            }
+            break;
+          }
+          case DispatchKind::kJal:
+            if (ifid_.predicted_taken) {
+              ++stats_.predictions_correct;  // target folded into the fetch
+            } else {
+              id_redirect = true;
+              id_redirect_target = op.taken_pc;
+            }
+            break;
+          case DispatchKind::kJalr: {
+            const int64_t target = ArchState::wrap(id_b_value.to_int() + op.inst.imm);
+            if (target == op.pc) {
+              id_sees_halt = true;
+            } else {
+              id_redirect = true;
+              id_redirect_target = target;
+            }
+            break;
+          }
+          default:
+            break;
+        }
+      }
+      idex_next.valid = true;
+      idex_next.is_halt = id_sees_halt;
+      idex_next.op = ifid_.op;
+      idex_next.a = state_.trf.read(op.inst.ta);
+      idex_next.b = state_.trf.read(op.inst.tb);
+    }
+  }
+
+  // ==== IF =================================================================
+  IfId ifid_next;
+  int64_t pc_next = state_.pc;
+  if (ex_redirect || ex_sees_halt) {
+    // EX-resolved control flow (ablation mode): squash both younger stages.
+    ifid_next.valid = false;
+    idex_next = IdEx{};
+    if (ex_redirect) {
+      pc_next = ex_redirect_target;
+      stats_.flush_taken_branch += 2;
+    }
+    if (ex_sees_halt) fetch_stopped_ = true;
+  } else if (stall) {
+    // Hold PC and IF/ID; a bubble (already-empty idex_next) enters EX.
+    ifid_next = ifid_;
+  } else {
+    if (id_sees_halt) fetch_stopped_ = true;
+    if (id_redirect) {
+      // The instruction fetched this cycle is wrong-path: squash it.
+      ifid_next.valid = false;
+      pc_next = id_redirect_target;
+      ++stats_.flush_taken_branch;
+    } else if (!fetch_stopped_) {
+      const DecodedOp& fetched = image_->fetch(state_.pc);
+      const bool ok = fetched.kind != DispatchKind::kInvalid;
+      ifid_next.valid = true;
+      ifid_next.poisoned = !ok;
+      ifid_next.op = &fetched;
+      pc_next = fetched.next_pc;
+      // Extension: static prediction at fetch — backward conditional
+      // branches predict taken and JAL targets are folded into the fetch.
+      // (A JAL row can only carry kJal here: the imm == 0 halt was folded
+      // to kHalt.)
+      if (config_.static_prediction && config_.branch_in_id && ok) {
+        const bool backward_branch =
+            (fetched.kind == DispatchKind::kBeq || fetched.kind == DispatchKind::kBne) &&
+            fetched.inst.imm < 0;
+        const bool direct_jump = fetched.kind == DispatchKind::kJal;
+        if (backward_branch || direct_jump) {
+          ifid_next.predicted_taken = true;
+          pc_next = fetched.taken_pc;
+        }
+      }
+    }
+  }
+
+  if (poison_pending && !(ex_redirect || ex_sees_halt)) {
+    throw SimError("executing instruction fetched from uninitialised TIM at pc " +
+                   std::to_string(ifid_.op->pc));
+  }
+
+  // ==== commit clock edge ==================================================
+  if (pending_write.valid) state_.trf.write(pending_write.rd, pending_write.value);
+  state_.pc = pc_next;
+  ifid_ = ifid_next;
+  idex_ = idex_next;
+  exmem_ = exmem_next;
+  memwb_ = memwb_next;
+
+  if (tracer_) {
+    if (retire_halt || id_sees_halt || ex_sees_halt) {
+      trace.event = CycleEvent::kHaltSeen;
+    } else if (id_redirect || ex_redirect) {
+      trace.event = CycleEvent::kTakenBranchFlush;
+    } else if (stall) {
+      trace.event = stall_kind;
+    }
+    tracer_(trace);
+  }
+
+  if (retire_halt) {
+    stats_.halt = HaltReason::kHalted;
+    return false;
+  }
+  return true;
+}
 
 }  // namespace art9::sim

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <map>
 #include <stdexcept>
 #include <utility>
 #include <variant>
@@ -571,86 +570,6 @@ JobHandle SimulationService::submit(std::shared_ptr<const DecodedImage> image, E
 JobHandle SimulationService::submit(std::shared_ptr<const rv32::Rv32DecodedImage> image,
                                     EngineKind kind, RunOptions run, JobControls control) {
   return submit(Job{EngineImage(std::move(image)), kind, run, {}, std::move(control)});
-}
-
-std::size_t SimulationService::add(Job job) {
-  validate_job(job);
-  jobs_.push_back(std::move(job));
-  return jobs_.size() - 1;
-}
-
-std::size_t SimulationService::add(std::shared_ptr<const DecodedImage> image, EngineKind kind,
-                                   RunOptions run) {
-  return add(Job{EngineImage(std::move(image)), kind, run, {}, {}});
-}
-
-std::size_t SimulationService::add(std::shared_ptr<const rv32::Rv32DecodedImage> image,
-                                   EngineKind kind, RunOptions run) {
-  return add(Job{EngineImage(std::move(image)), kind, run, {}, {}});
-}
-
-std::shared_ptr<const DecodedImage> SimulationService::add(const isa::Program& program,
-                                                           EngineKind kind, RunOptions run) {
-  std::shared_ptr<const DecodedImage> image = decode(program);
-  add(image, kind, run);
-  return image;
-}
-
-std::shared_ptr<const rv32::Rv32DecodedImage> SimulationService::add(
-    const rv32::Rv32Program& program, EngineKind kind, RunOptions run) {
-  std::shared_ptr<const rv32::Rv32DecodedImage> image = rv32::decode(program);
-  add(image, kind, run);
-  return image;
-}
-
-std::vector<JobResult> SimulationService::run_all(BatchStats* batch) {
-  const auto start = std::chrono::steady_clock::now();
-
-  // Transparent cohort packing: fleet jobs sharing an image and carrying
-  // no checkpoint/retry/fault controls ride submit_cohort (bit-identical
-  // per-job results, one bit-sliced engine per <= kMaxLanes of them);
-  // everything else submits individually.  Handles keep job order.
-  std::vector<JobHandle> handles(jobs_.size());
-  std::map<const DecodedImage*, std::vector<std::size_t>> cohorts;
-  for (std::size_t i = 0; i < jobs_.size(); ++i) {
-    const Job& job = jobs_[i];
-    const bool packable = job.kind == EngineKind::kFleet &&
-                          job.image.index() == 0 && job.control.checkpoint_every == 0 &&
-                          job.control.retries == 0 && !job.control.fault;
-    if (packable) {
-      cohorts[std::get<std::shared_ptr<const DecodedImage>>(job.image).get()].push_back(i);
-    } else {
-      handles[i] = submit(job);
-    }
-  }
-  for (const auto& entry : cohorts) {
-    const std::vector<std::size_t>& indices = entry.second;
-    std::vector<Job> group;
-    group.reserve(indices.size());
-    for (std::size_t i : indices) group.push_back(jobs_[i]);
-    std::vector<JobHandle> cohort_handles = submit_cohort(std::move(group));
-    for (std::size_t k = 0; k < indices.size(); ++k) {
-      handles[indices[k]] = std::move(cohort_handles[k]);
-    }
-  }
-
-  std::vector<JobResult> results;
-  results.reserve(handles.size());
-  for (const JobHandle& handle : handles) results.push_back(handle.result());
-
-  if (batch != nullptr) {
-    const std::chrono::duration<double> wall = std::chrono::steady_clock::now() - start;
-    BatchStats stats;
-    stats.threads = static_cast<unsigned>(
-        std::min<std::size_t>(threads_, std::max<std::size_t>(results.size(), 1)));
-    stats.wall_seconds = wall.count();
-    for (const JobResult& r : results) {
-      stats.instructions += r.run.stats.instructions;
-      stats.cycles += r.run.stats.cycles;
-    }
-    *batch = stats;
-  }
-  return results;
 }
 
 }  // namespace art9::sim

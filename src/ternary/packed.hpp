@@ -22,9 +22,9 @@
 //  * the free functions over BctWord9 (the original 9-trit datapath used
 //    by the packed engines' hot loops), and
 //  * the width-generic `PackedWord<N>` plane-pair template (1 <= N <= 32),
-//    whose N == 9 instantiation reduces to exactly the same table loads
-//    (the packed pipeline's datapath word); wider instantiations (21
-//    trits cover a 32-bit binary value) are width-tested, not executed.
+//    whose N == 9 instantiation reduces to exactly the same table loads;
+//    no engine executes it — every width (21 trits cover a 32-bit binary
+//    value) is width-tested only.
 //
 // Everything is constexpr, so every operation here is usable in constant
 // expressions and the packed-vs-reference equivalence suites

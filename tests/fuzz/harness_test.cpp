@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -25,18 +24,13 @@ std::vector<uint8_t> pinned_to_mode(std::vector<uint8_t> bytes, uint8_t mode) {
   return bytes;
 }
 
-/// Re-pins the kind pair of mode 0's snapshot leg: bytes 14 and 15 (after
+/// Pins the kind pair of mode 0's snapshot leg: bytes 14 and 15 (after
 /// the mode byte, u64 seed, option bits, two length bytes and the u16
-/// budget) index sim::art9_engine_kinds(), so a repro keeps driving the
-/// kinds it names when that list changes.
+/// budget) carry the stable sim::EngineKind values.
 std::vector<uint8_t> pinned_snapshot_kinds(std::vector<uint8_t> bytes, sim::EngineKind a,
                                            sim::EngineKind b) {
-  const auto kinds = sim::art9_engine_kinds();
-  const auto index = [&](sim::EngineKind kind) {
-    return static_cast<uint8_t>(std::find(kinds.begin(), kinds.end(), kind) - kinds.begin());
-  };
-  bytes.at(14) = index(a);
-  bytes.at(15) = index(b);
+  bytes.at(14) = static_cast<uint8_t>(a);
+  bytes.at(15) = static_cast<uint8_t>(b);
   return bytes;
 }
 
@@ -52,8 +46,8 @@ const std::vector<std::pair<std::string, std::vector<uint8_t>>>& fixed_corpus() 
       // phantom TDM divergences whenever earlier cases had warmed the
       // allocator.  Fixed by ref-qualifying MachineState::art9()/rv32()
       // (rvalue access moves the view out) and binding a named boundary.
-      // Their kind bytes are pinned explicitly: the selector indexes a
-      // kind list that changes over time.
+      // Their kind bytes are pinned explicitly to the stable kind values
+      // the selector decodes.
       {"dangling checkpoint view, superblock->pipeline leg",
        pinned_snapshot_kinds(pinned_to_mode(seeded_input(1, 24), 0), sim::EngineKind::kSuperblock,
                              sim::EngineKind::kPipeline)},

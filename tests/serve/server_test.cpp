@@ -106,7 +106,7 @@ TEST(SimulationServerRoutes, ProtocolErrorsAreStructured) {
           .get_string("id", "");
   ASSERT_EQ(image.size(), 16u);
   // Unknown engine names, the retired packed kinds included.
-  for (const char* engine : {"warp", "packed", "rv32_packed"}) {
+  for (const char* engine : {"warp", "packed", "rv32_packed", "pipeline_packed"}) {
     const HttpResponse unknown_engine = server.handle(make_request(
         "POST", "/v1/jobs", "{\"image\": \"" + image + "\", \"engine\": \"" + engine + "\"}"));
     EXPECT_EQ(unknown_engine.status, 400) << engine;

@@ -6,8 +6,8 @@
 //  * every ART-9 functional kind (lazy, functional, superblock, fleet)
 //    is bit-identical to the golden FunctionalSimulator in ArchState
 //    (registers, TDM contents *and* access counters, PC) and SimStats;
-//  * the pipeline kinds match ArchState, retired-instruction count and
-//    halt reason (their cycle accounting legitimately differs);
+//  * the pipeline kind matches ArchState, retired-instruction count and
+//    halt reason (its cycle accounting legitimately differs);
 //  * every rv32 kind (pre-decoded reference, superblock tier) is
 //    bit-identical to the seed LazyRv32Simulator in Rv32ArchState
 //    (x-registers, every RAM byte, PC) and run statistics;

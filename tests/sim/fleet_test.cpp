@@ -9,9 +9,10 @@
 //  * a trapping lane commits its state, reports the solo run's exact
 //    SimError text, and never tears down its cohort;
 //  * per-lane unpack/restore round trips;
-//  * SimulationService cohorts: submit_cohort and run_all's transparent
-//    packing resolve every job bit-identically to a standalone engine,
-//    at multiple worker-pool widths, across >32-job same-image batches.
+//  * SimulationService cohorts: submit_cohort resolves every job
+//    bit-identically to a standalone engine, alone or interleaved with
+//    solo jobs, at multiple worker-pool widths, across >32-job same-image
+//    batches.
 #include "sim/fleet.hpp"
 
 #include <gtest/gtest.h>
@@ -294,29 +295,35 @@ TEST(ServiceCohort, CohortResolvesEveryJobBitIdenticalToStandalone) {
   }
 }
 
-TEST(ServiceCohort, RunAllPacksFleetJobsTransparently) {
-  // run_all must pack fleet jobs sharing an image into cohorts while
-  // non-fleet siblings (and a second image's fleet jobs) keep their
-  // own lanes/engines — with results in job order, bit-identical to
-  // standalone runs, at every pool width.
+TEST(ServiceCohort, CohortsInterleaveWithSoloJobs) {
+  // A cohort of fleet jobs sharing an image, solo siblings on the same
+  // image, and a second image's (trapping) cohort share one pool: every
+  // job resolves bit-identically to a standalone run, at every pool width.
   const std::shared_ptr<const DecodedImage> image = decode(isa::assemble(fleet_loop_source()));
   const std::shared_ptr<const DecodedImage> other = decode(isa::assemble(fleet_trap_source()));
   constexpr RunOptions kBudget{50};
 
-  auto build = [&](SimulationService& service) {
-    for (int i = 0; i < 6; ++i) {
-      service.add(image, EngineKind::kFleet, RunOptions{static_cast<uint64_t>(10 * i)});
-      service.add(image, EngineKind::kSuperblock, kBudget);
-    }
-    service.add(other, EngineKind::kFleet, kBudget);  // traps: its own cohort
-  };
-
   std::vector<JobResult> sequential;
   for (unsigned threads : {1u, 2u, 4u}) {
     SimulationService service(threads);
-    build(service);
-    const std::vector<JobResult> results = service.run_all();
-    ASSERT_EQ(results.size(), 13u);
+    std::vector<SimulationService::Job> cohort;
+    std::vector<JobHandle> solo;
+    for (int i = 0; i < 6; ++i) {
+      cohort.push_back({EngineImage(image), EngineKind::kFleet,
+                        RunOptions{static_cast<uint64_t>(10 * i)}, {}, {}});
+      solo.push_back(service.submit(image, EngineKind::kSuperblock, kBudget));
+    }
+    const std::vector<JobHandle> fleet = service.submit_cohort(std::move(cohort));
+    const JobHandle trapping =
+        service.submit_cohort({{EngineImage(other), EngineKind::kFleet, kBudget, {}, {}}}).at(0);
+
+    // Fleet/superblock pairs in submission order, then the trapping lane.
+    std::vector<JobResult> results;
+    for (int i = 0; i < 6; ++i) {
+      results.push_back(fleet[i].result());
+      results.push_back(solo[i].result());
+    }
+    results.push_back(trapping.result());
 
     if (threads == 1u) {
       sequential = results;

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/progen.hpp"
 #include "sim/functional_sim.hpp"
@@ -24,31 +27,31 @@ void expect_same_state(const ArchState& pipeline, const ArchState& functional, u
 }
 
 struct ConfigCase {
-  const char* name;
+  std::string name;
   PipelineConfig config;
 };
 
+/// All 32 combinations of the five PipelineConfig switches, named by the
+/// switches that depart from the paper's design point.
 std::vector<ConfigCase> all_configs() {
   std::vector<ConfigCase> cases;
-  cases.push_back({"baseline", {}});
-  PipelineConfig no_fwd;
-  no_fwd.ex_forwarding = false;
-  cases.push_back({"no_ex_forwarding", no_fwd});
-  PipelineConfig no_id_fwd;
-  no_id_fwd.id_forwarding = false;
-  cases.push_back({"no_id_forwarding", no_id_fwd});
-  PipelineConfig branch_ex;
-  branch_ex.branch_in_id = false;
-  cases.push_back({"branch_in_ex", branch_ex});
-  PipelineConfig sync_rf;
-  sync_rf.regfile_write_through = false;
-  cases.push_back({"sync_regfile", sync_rf});
-  PipelineConfig everything_off;
-  everything_off.ex_forwarding = false;
-  everything_off.id_forwarding = false;
-  everything_off.branch_in_id = false;
-  everything_off.regfile_write_through = false;
-  cases.push_back({"all_ablations", everything_off});
+  for (unsigned bits = 0; bits < 32; ++bits) {
+    ConfigCase cc;
+    cc.config.ex_forwarding = (bits & 1) == 0;
+    cc.config.id_forwarding = (bits & 2) == 0;
+    cc.config.regfile_write_through = (bits & 4) == 0;
+    cc.config.branch_in_id = (bits & 8) == 0;
+    cc.config.static_prediction = (bits & 16) != 0;
+    for (const auto& [mask, name] : {std::pair{1u, "no_ex_forwarding"}, {2u, "no_id_forwarding"},
+                                     {4u, "sync_regfile"}, {8u, "branch_in_ex"},
+                                     {16u, "static_prediction"}}) {
+      if ((bits & mask) == 0) continue;
+      if (!cc.name.empty()) cc.name.push_back('_');
+      cc.name.append(name);
+    }
+    if (cc.name.empty()) cc.name = "baseline";
+    cases.push_back(cc);
+  }
   return cases;
 }
 
@@ -79,9 +82,9 @@ TEST_P(PipelineDifferential, RandomProgramsMatchGoldenModel) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllConfigs, PipelineDifferential,
-                         ::testing::Range<std::size_t>(0, 6),
+                         ::testing::Range<std::size_t>(0, 32),
                          [](const ::testing::TestParamInfo<std::size_t>& param_info) {
-                           return std::string(all_configs()[param_info.param].name);
+                           return all_configs()[param_info.param].name;
                          });
 
 TEST(PipelineDifferential, LoopHeavyPrograms) {

@@ -116,68 +116,73 @@ const std::array<std::string, 4>& rv32_batch_programs() {
   return kPrograms;
 }
 
-/// Queues the mixed cross-ISA batch: every ART-9 program on every ART-9
-/// engine kind, plus every rv32 program on both rv32 kinds, one job each.
-/// (The service itself is immovable — it owns a worker pool — so the
-/// helper fills a caller-owned instance.)
-void add_mixed_batch(SimulationService& service) {
+/// Runs the mixed cross-ISA batch: every ART-9 program on every ART-9
+/// engine kind, plus every rv32 program on both rv32 kinds,
+/// one job each; results in submission order.  (The service itself is
+/// immovable — it owns a worker pool — so the helper fills a caller-owned
+/// instance.)
+std::vector<JobResult> run_mixed_batch(SimulationService& service) {
+  std::vector<JobHandle> handles;
   for (const std::string& source : batch_programs()) {
-    const std::shared_ptr<const DecodedImage> image =
-        service.add(isa::assemble(source), EngineKind::kLazy, kBudget);
-    service.add(image, EngineKind::kFunctional, kBudget);
-    service.add(image, EngineKind::kSuperblock, kBudget);
-    service.add(image, EngineKind::kPipeline, kBudget);
-    service.add(image, EngineKind::kPackedPipeline, kBudget);
+    const std::shared_ptr<const DecodedImage> image = decode(isa::assemble(source));
+    for (EngineKind kind : art9_engine_kinds()) {
+      handles.push_back(service.submit(image, kind, kBudget));
+    }
   }
   for (const std::string& source : rv32_batch_programs()) {
     const std::shared_ptr<const rv32::Rv32DecodedImage> image =
-        service.add(rv32::assemble_rv32(source), EngineKind::kRv32, kBudget);
-    service.add(image, EngineKind::kRv32Superblock, kBudget);
+        rv32::decode(rv32::assemble_rv32(source));
+    for (EngineKind kind : rv32_engine_kinds()) {
+      handles.push_back(service.submit(image, kind, kBudget));
+    }
   }
+  std::vector<JobResult> results;
+  for (const JobHandle& handle : handles) results.push_back(handle.result());
+  return results;
 }
 
 std::vector<JobResult> run_mixed_batch(unsigned threads) {
   SimulationService service(threads);
-  add_mixed_batch(service);
-  return service.run_all();
+  return run_mixed_batch(service);
 }
 
 TEST(SimulationService, MatchesStandaloneEngineRuns) {
   SimulationService service(1);
+  std::vector<JobHandle> handles;
   for (const std::string& source : batch_programs()) {
-    service.add(isa::assemble(source), EngineKind::kFunctional, kBudget);
+    handles.push_back(
+        service.submit(decode(isa::assemble(source)), EngineKind::kFunctional, kBudget));
   }
-  ASSERT_EQ(service.size(), 8u);
+  ASSERT_EQ(handles.size(), 8u);
 
-  const std::vector<JobResult> results = service.run_all();
-  ASSERT_EQ(results.size(), 8u);
-  for (std::size_t i = 0; i < results.size(); ++i) {
+  for (std::size_t i = 0; i < handles.size(); ++i) {
+    const JobResult& result = handles[i].result();
+    EXPECT_EQ(handles[i].id(), i) << "program " << i;
     std::unique_ptr<Engine> standalone =
         make_engine(EngineKind::kFunctional, isa::assemble(batch_programs()[i]));
     const RunResult expected = standalone->run(kBudget);
-    EXPECT_EQ(results[i].run.state, expected.state) << "program " << i;
-    EXPECT_EQ(results[i].run.stats, expected.stats) << "program " << i;
-    EXPECT_EQ(results[i].run.halt, i == 7 ? HaltReason::kMaxCycles : HaltReason::kHalted)
+    EXPECT_EQ(result.run.state, expected.state) << "program " << i;
+    EXPECT_EQ(result.run.stats, expected.stats) << "program " << i;
+    EXPECT_EQ(result.run.halt, i == 7 ? HaltReason::kMaxCycles : HaltReason::kHalted)
         << "program " << i;
-    EXPECT_EQ(results[i].outcome,
-              i == 7 ? JobOutcome::kBudgetExhausted : JobOutcome::kCompleted)
+    EXPECT_EQ(result.outcome, i == 7 ? JobOutcome::kBudgetExhausted : JobOutcome::kCompleted)
         << "program " << i;
   }
 }
 
 TEST(SimulationService, Rv32JobsMatchStandaloneEngineRuns) {
   SimulationService service(4);
+  std::vector<JobHandle> handles;
   for (const std::string& source : rv32_batch_programs()) {
-    service.add(rv32::assemble_rv32(source), EngineKind::kRv32Superblock, kBudget);
+    handles.push_back(service.submit(rv32::decode(rv32::assemble_rv32(source)),
+                                     EngineKind::kRv32Superblock, kBudget));
   }
-  const std::vector<JobResult> results = service.run_all();
-  ASSERT_EQ(results.size(), rv32_batch_programs().size());
-  for (std::size_t i = 0; i < results.size(); ++i) {
+  for (std::size_t i = 0; i < handles.size(); ++i) {
     std::unique_ptr<Engine> standalone =
         make_engine(EngineKind::kRv32Superblock, rv32::assemble_rv32(rv32_batch_programs()[i]));
     const RunResult expected = standalone->run(kBudget);
-    EXPECT_EQ(results[i].run.state, expected.state) << "program " << i;
-    EXPECT_EQ(results[i].run.stats, expected.stats) << "program " << i;
+    EXPECT_EQ(handles[i].result().run.state, expected.state) << "program " << i;
+    EXPECT_EQ(handles[i].result().run.stats, expected.stats) << "program " << i;
   }
 }
 
@@ -203,48 +208,22 @@ TEST(SimulationService, SharedImageMatchesPerJobDecode) {
   const isa::Program program = isa::assemble(batch_programs()[1]);
 
   SimulationService service(4);
-  const std::shared_ptr<const DecodedImage> image =
-      service.add(program, EngineKind::kSuperblock, kBudget);
-  for (int i = 0; i < 7; ++i) service.add(image, EngineKind::kSuperblock, kBudget);
-  ASSERT_EQ(service.size(), 8u);
+  const std::shared_ptr<const DecodedImage> image = decode(program);
+  std::vector<JobHandle> handles;
+  for (int i = 0; i < 8; ++i) {
+    handles.push_back(service.submit(image, EngineKind::kSuperblock, kBudget));
+  }
 
-  const std::vector<JobResult> results = service.run_all();
   std::unique_ptr<Engine> standalone = make_engine(EngineKind::kSuperblock, program);
   const RunResult expected = standalone->run(kBudget);
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    EXPECT_EQ(results[i].run.state, expected.state) << "job " << i;
-    EXPECT_EQ(results[i].run.stats, expected.stats) << "job " << i;
+  for (std::size_t i = 0; i < handles.size(); ++i) {
+    EXPECT_EQ(handles[i].result().run.state, expected.state) << "job " << i;
+    EXPECT_EQ(handles[i].result().run.stats, expected.stats) << "job " << i;
   }
-}
-
-TEST(SimulationService, RunAllIsRepeatableAndReportsBatchStats) {
-  SimulationService service(0);  // hardware_concurrency default
-  EXPECT_GE(service.threads(), 1u);
-  service.add(isa::assemble(batch_programs()[1]), EngineKind::kFunctional, kBudget);
-  service.add(isa::assemble(batch_programs()[7]), EngineKind::kSuperblock, kBudget);
-
-  SimulationService::BatchStats batch;
-  const std::vector<JobResult> first = service.run_all(&batch);
-  const std::vector<JobResult> second = service.run_all();
-  ASSERT_EQ(first.size(), 2u);
-  ASSERT_EQ(second.size(), 2u);
-  for (std::size_t i = 0; i < first.size(); ++i) {
-    EXPECT_EQ(first[i].run.state, second[i].run.state);
-    EXPECT_EQ(first[i].run.stats, second[i].run.stats);
-  }
-
-  EXPECT_EQ(batch.instructions,
-            first[0].run.stats.instructions + first[1].run.stats.instructions);
-  EXPECT_EQ(batch.cycles, first[0].run.stats.cycles + first[1].run.stats.cycles);
-  EXPECT_GT(batch.wall_seconds, 0.0);
-  EXPECT_GE(batch.threads, 1u);
-  EXPECT_GT(batch.steps_per_sec(), 0.0);
 }
 
 TEST(SimulationService, TrappingJobDoesNotDiscardSiblingResults) {
-  // The run_all bugfix regression: the pre-async service rethrew the
-  // lowest-indexed job's exception and discarded every completed sibling.
-  // Now the trapping job resolves kTrapped (with the trap text) while its
+  // A trapping job resolves kTrapped (with the trap text) while its
   // siblings return results bit-identical to standalone runs.
   isa::Program trap;
   trap.code.push_back(isa::Instruction{isa::Opcode::kAddi, 1, 0, ternary::kTritZ, 1});
@@ -259,12 +238,14 @@ TEST(SimulationService, TrappingJobDoesNotDiscardSiblingResults) {
 
   for (unsigned threads : {1u, 4u}) {
     SimulationService service(threads);
-    service.add(isa::assemble(batch_programs()[0]), EngineKind::kFunctional, kBudget);
-    service.add(decode(trap), EngineKind::kSuperblock, kBudget);
-    service.add(isa::assemble(batch_programs()[2]), EngineKind::kPipeline, kBudget);
-
-    const std::vector<JobResult> results = service.run_all();
-    ASSERT_EQ(results.size(), 3u) << threads << " threads";
+    const JobHandle handles[] = {
+        service.submit(decode(isa::assemble(batch_programs()[0])), EngineKind::kFunctional,
+                       kBudget),
+        service.submit(decode(trap), EngineKind::kSuperblock, kBudget),
+        service.submit(decode(isa::assemble(batch_programs()[2])), EngineKind::kPipeline,
+                       kBudget),
+    };
+    const JobResult results[] = {handles[0].result(), handles[1].result(), handles[2].result()};
 
     EXPECT_EQ(results[0].outcome, JobOutcome::kCompleted) << threads << " threads";
     EXPECT_EQ(results[0].run.state, expected_first.state) << threads << " threads";
@@ -279,15 +260,15 @@ TEST(SimulationService, TrappingJobDoesNotDiscardSiblingResults) {
   }
 }
 
-TEST(SimulationService, NullImageRejectedAtAdd) {
+TEST(SimulationService, NullImageRejectedAtSubmit) {
   SimulationService service(1);
-  EXPECT_THROW(service.add(std::shared_ptr<const DecodedImage>{}, EngineKind::kSuperblock),
+  EXPECT_THROW(service.submit(std::shared_ptr<const DecodedImage>{}, EngineKind::kSuperblock),
                std::invalid_argument);
 }
 
-TEST(SimulationService, MismatchedKindRejectedAtAdd) {
+TEST(SimulationService, MismatchedKindRejectedAtSubmit) {
   SimulationService service(1);
-  EXPECT_THROW(service.add(decode(isa::assemble(batch_programs()[0])), EngineKind::kRv32),
+  EXPECT_THROW(service.submit(decode(isa::assemble(batch_programs()[0])), EngineKind::kRv32),
                std::invalid_argument);
 }
 
@@ -295,18 +276,18 @@ TEST(SimulationService, TranslatedBenchmarkBatchAcrossKinds) {
   // The paper's evaluation loop as one batch: all four translated
   // benchmarks, each on the superblock and pipeline engines, scheduled wide.
   xlat::SoftwareFramework framework;
-  SimulationService service(0);
-  std::vector<std::shared_ptr<const DecodedImage>> images;
+  SimulationService service(0);  // hardware_concurrency default
+  EXPECT_GE(service.threads(), 1u);
+  std::vector<JobHandle> handles;
   for (const core::BenchmarkSources* bench : core::all_benchmarks()) {
-    images.push_back(decode(framework.translate(rv32::assemble_rv32(bench->rv32)).program));
-    service.add(images.back(), EngineKind::kSuperblock);
-    service.add(images.back(), EngineKind::kPipeline);
+    const std::shared_ptr<const DecodedImage> image =
+        decode(framework.translate(rv32::assemble_rv32(bench->rv32)).program);
+    handles.push_back(service.submit(image, EngineKind::kSuperblock));
+    handles.push_back(service.submit(image, EngineKind::kPipeline));
   }
-  const std::vector<JobResult> results = service.run_all();
-  ASSERT_EQ(results.size(), images.size() * 2);
-  for (std::size_t b = 0; b < images.size(); ++b) {
-    const RunResult& superblock = results[2 * b].run;
-    const RunResult& pipeline = results[2 * b + 1].run;
+  for (std::size_t b = 0; b < handles.size() / 2; ++b) {
+    const RunResult& superblock = handles[2 * b].result().run;
+    const RunResult& pipeline = handles[2 * b + 1].result().run;
     EXPECT_EQ(superblock.halt, HaltReason::kHalted);
     EXPECT_EQ(pipeline.halt, HaltReason::kHalted);
     // Functional and cycle-accurate models agree architecturally.
@@ -384,8 +365,7 @@ TEST(SimulationService, IntrospectionCountersSurviveWideBatches) {
   // The counters are lock-free and shared with every JobState; a wide
   // threaded batch must still reconcile exactly once drained.
   SimulationService service(4);
-  add_mixed_batch(service);
-  const std::vector<JobResult> results = service.run_all();
+  const std::vector<JobResult> results = run_mixed_batch(service);
   EXPECT_EQ(service.submitted(), results.size());
   EXPECT_EQ(service.resolved(), results.size());
   EXPECT_EQ(service.in_flight(), 0u);

@@ -58,9 +58,9 @@ constexpr uint64_t kSplitBudget = 7;
 constexpr uint64_t kRunBudget = 10'000;
 
 /// True when the two kinds share full access-counter accounting: the
-/// three functional kinds are bit-identical including TDM counters, as
-/// are the two pipeline datapaths — but a pipeline's wrong-path and
-/// per-stage accesses legitimately differ from the functional models'.
+/// functional kinds are bit-identical including TDM counters — but the
+/// pipeline's wrong-path and per-stage accesses legitimately differ from
+/// the functional models'.
 bool same_counter_class(EngineKind a, EngineKind b) {
   return is_cycle_accurate(a) == is_cycle_accurate(b);
 }
@@ -146,7 +146,7 @@ TEST_P(Art9SnapshotResume, MidRunSnapshotResumesBitIdentically) {
   ASSERT_EQ(resumed->run({kRunBudget}).halt, HaltReason::kHalted);
 
   // ...and must land exactly where an uninterrupted kind-A run lands
-  // (checkpoint() normalizes the pipeline kinds' halt PC to the shared
+  // (checkpoint() normalizes the pipeline kind's halt PC to the shared
   // rest-on-halt convention).
   std::unique_ptr<Engine> uninterrupted = make_engine(a, image);
   ASSERT_EQ(uninterrupted->run({kRunBudget}).halt, HaltReason::kHalted);

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "isa/assembler.hpp"
-#include "sim/packed_pipeline.hpp"
 #include "sim/pipeline.hpp"
 #include "sim/trace.hpp"
 
@@ -32,9 +31,8 @@ loop:
     HALT
 )";
 
-template <class Simulator>
 std::vector<std::string> rendered_trace() {
-  Simulator sim(isa::assemble(kProgram));
+  PipelineSimulator sim(isa::assemble(kProgram));
   std::vector<std::string> lines;
   sim.set_tracer([&](const CycleTrace& t) { lines.push_back(render_trace(t)); });
   sim.run();
@@ -43,12 +41,11 @@ std::vector<std::string> rendered_trace() {
 
 /// The locked golden trace (2026-07): regenerate only for a *deliberate*
 /// trace-format or microarchitecture change, never for a hot-loop
-/// refactor.  Both pipeline datapaths must render it verbatim.
+/// refactor.
 const std::vector<std::string>& golden_trace();
 
-template <class Simulator>
-void expect_matches_golden() {
-  const std::vector<std::string> actual = rendered_trace<Simulator>();
+TEST(TraceGolden, RenderedTraceIsStable) {
+  const std::vector<std::string> actual = rendered_trace();
   const std::vector<std::string>& expected = golden_trace();
   std::ostringstream dump;
   for (const std::string& line : actual) dump << line << '\n';
@@ -56,16 +53,6 @@ void expect_matches_golden() {
   for (std::size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(actual[i], expected[i]) << "cycle index " << i << "\nfull trace:\n" << dump.str();
   }
-}
-
-TEST(TraceGolden, RenderedTraceIsStable) { expect_matches_golden<PipelineSimulator>(); }
-
-// Tracer parity: the plane-packed pipeline streams the *identical*
-// CycleTrace sequence — same stage occupancy, same stall/flush/halt
-// events, same rendering — as the reference datapath.
-TEST(TraceGolden, PackedPipelineRendersIdenticalTrace) {
-  expect_matches_golden<PackedPipelineSimulator>();
-  EXPECT_EQ(rendered_trace<PackedPipelineSimulator>(), rendered_trace<PipelineSimulator>());
 }
 
 const std::vector<std::string>& golden_trace() {
@@ -107,8 +94,7 @@ const std::vector<std::string>& golden_trace() {
 }
 
 TEST(TraceGolden, TraceIsDeterministic) {
-  EXPECT_EQ(rendered_trace<PipelineSimulator>(), rendered_trace<PipelineSimulator>());
-  EXPECT_EQ(rendered_trace<PackedPipelineSimulator>(), rendered_trace<PackedPipelineSimulator>());
+  EXPECT_EQ(rendered_trace(), rendered_trace());
 }
 
 }  // namespace

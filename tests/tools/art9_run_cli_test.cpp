@@ -40,7 +40,7 @@ TEST(Art9RunCli, UnknownFlagIsAUsageError) {
 
 TEST(Art9RunCli, UnknownEngineIsAUsageError) {
   // The retired packed kinds are unknown names too.
-  for (const char* engine : {"warp", "packed", "rv32_packed"}) {
+  for (const char* engine : {"warp", "packed", "rv32_packed", "pipeline_packed"}) {
     EXPECT_EQ(run(std::string(ART9_RUN_BIN) + " --engine=" + engine + " prog.t9").exit_code, 2)
         << engine;
   }

@@ -4,8 +4,7 @@
 // (and exposes the service's deadline / checkpoint-retry / fault-drill
 // controls).
 //
-//   art9-run program.t9 [--engine=lazy|functional|superblock|fleet|pipeline|
-//                                  pipeline_packed]
+//   art9-run program.t9 [--engine=lazy|functional|superblock|fleet|pipeline]
 //            [--lanes N] [--max-cycles N] [--dump-regs] [--dump-mem LO HI]
 //            [--no-forwarding] [--branch-in-ex] [--stats] [--trace N]
 //            [--deadline-ms N] [--checkpoint-every N] [--retries N]
@@ -43,8 +42,7 @@ namespace {
 int usage(bool help = false) {
   std::fprintf(help ? stdout : stderr,
                "usage: art9-run <program.t9>\n"
-               "                [--engine=lazy|functional|superblock|fleet|pipeline|\n"
-               "                           pipeline_packed]\n"
+               "                [--engine=lazy|functional|superblock|fleet|pipeline]\n"
                "                [--lanes N]\n"
                "                [--max-cycles N] [--dump-regs] [--dump-mem LO HI]\n"
                "                [--no-forwarding] [--branch-in-ex] [--stats] [--trace N]\n"
@@ -52,8 +50,7 @@ int usage(bool help = false) {
                "                [--fault-at N] [--fault-seed N]\n"
                "       art9-run <program.s> --engine=rv32|rv32_superblock\n"
                "                [--max-cycles N] [--dump-regs] [--dump-mem LO HI]\n"
-               "engine defaults to pipeline (the cycle-accurate model); pipeline_packed is\n"
-               "the same 5-stage model on plane-packed words; superblock and\n"
+               "engine defaults to pipeline (the cycle-accurate model); superblock and\n"
                "rv32_superblock run the block translation tier (fused macro-ops,\n"
                "block-chained dispatch), on plane-packed words for ART-9 and on host\n"
                "words for rv32; fleet runs the bit-sliced backend (32 machines per\n"
@@ -61,7 +58,7 @@ int usage(bool help = false) {
                "as one service cohort, reporting a per-lane outcome summary and\n"
                "exiting with the worst lane's code (--lanes needs --engine=fleet and\n"
                "is incompatible with the checkpoint/retry/fault flags); --trace and\n"
-               "the microarchitecture switches apply to the pipeline engines only.\n"
+               "the microarchitecture switches apply to the pipeline engine only.\n"
                "The rv32 engines assemble RV32I(+M) source and dump x-registers /\n"
                "RAM words.\n"
                "--deadline-ms / --checkpoint-every / --retries wire the SimulationService\n"
