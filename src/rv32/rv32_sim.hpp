@@ -193,7 +193,7 @@ class Rv32Simulator {
 
 /// The seed's decode-on-fetch rv32 loop: per-fetch range check, modulo
 /// and divide.  Kept as the differential baseline for the pre-decoded
-/// dispatch fast path (tests, bench_micro_sim).
+/// dispatch fast path (tests, the art9-fuzz rv32 oracle).
 class LazyRv32Simulator {
  public:
   using Observer = Rv32Simulator::Observer;

@@ -61,7 +61,8 @@ class FunctionalSimulator {
 
 /// The seed's decode-on-fetch simulator: per-step validity branch, spec
 /// lookup and PC wrap.  Kept as the reference baseline for the
-/// pre-decoded dispatch fast path (differential tests, bench_micro_sim).
+/// pre-decoded dispatch fast path (differential tests, and EngineKind::kLazy,
+/// the denominator of bench_micro_sim's predecoded_vs_lazy).
 class LazyFunctionalSimulator {
  public:
   explicit LazyFunctionalSimulator(const isa::Program& program);

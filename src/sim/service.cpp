@@ -43,6 +43,9 @@ namespace {
 /// and deadline latency stay in the milliseconds on every backend.
 constexpr uint64_t kDefaultSlice = 1u << 20;
 
+/// Retry backoff doubles per retry up to retry_backoff << 16.
+constexpr unsigned kMaxBackoffDoublings = 16;
+
 void validate_job(const SimulationService::Job& job) {
   const bool null_image = std::visit([](const auto& p) { return p == nullptr; }, job.image);
   if (null_image) throw std::invalid_argument("SimulationService: null image");
@@ -236,7 +239,9 @@ void execute_job(detail::JobState& st) {
       ++attempt;
       res.retries = attempt;
       if (job.control.retry_backoff.count() > 0) {
-        std::this_thread::sleep_for(job.control.retry_backoff * (1u << (attempt - 1)));
+        // Capped so the shift stays defined past 32 retries.
+        std::this_thread::sleep_for(job.control.retry_backoff *
+                                    (1u << std::min(attempt - 1, kMaxBackoffDoublings)));
       }
       // loop: rebuild the engine, resuming from rp when one exists
     } catch (const std::exception& e) {
@@ -496,9 +501,16 @@ std::shared_ptr<detail::JobState> SimulationService::make_state(Job job) {
   auto state = std::make_shared<detail::JobState>();
   state->job = std::move(job);
   state->counters = counters_;
-  if (state->job.control.deadline.count() > 0) {
-    state->has_deadline = true;
-    state->deadline_at = std::chrono::steady_clock::now() + state->job.control.deadline;
+  const std::chrono::milliseconds deadline = state->job.control.deadline;
+  if (deadline.count() > 0) {
+    // A deadline past the clock's range is no deadline: now + deadline
+    // would overflow the clock's nanosecond count and land in the past.
+    const auto now = std::chrono::steady_clock::now();
+    if (deadline < std::chrono::duration_cast<std::chrono::milliseconds>(
+                       std::chrono::steady_clock::time_point::max() - now)) {
+      state->has_deadline = true;
+      state->deadline_at = now + deadline;
+    }
   }
   return state;
 }

@@ -78,9 +78,9 @@ enum class JobOutcome : uint8_t {
 
 /// Per-job scheduling controls, all optional.
 struct JobControls {
-  /// Wall-clock budget measured from submit() (0 = none).  Checked
-  /// between slices and before dispatch, so a job can expire while
-  /// still queued.
+  /// Wall-clock budget measured from submit() (0 = none; so is a value
+  /// past the steady clock's range).  Checked between slices and before
+  /// dispatch, so a job can expire while still queued.
   std::chrono::milliseconds deadline{0};
 
   /// Take a recovery checkpoint every N executed steps (0 = off).  The
@@ -92,7 +92,7 @@ struct JobControls {
   /// last valid checkpoint (or restarts when none exists yet).
   unsigned retries = 0;
 
-  /// Backoff slept before retry r (0-based): retry_backoff << r.
+  /// Backoff slept before retry r (0-based): retry_backoff << min(r, 16).
   std::chrono::milliseconds retry_backoff{0};
 
   /// Cooperative slice length in engine steps (0 = the service default,

@@ -10,9 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <iterator>
 #include <string>
 #include <thread>
+#include <vector>
 
+#include "core/benchmarks.hpp"
 #include "isa/assembler.hpp"
 #include "serve/json.hpp"
 #include "sim/snapshot.hpp"
@@ -180,22 +183,86 @@ TEST(SimulationServerRoutes, AdmissionRejectsAreStructuredAndCounted) {
 TEST(SimulationServerRoutes, StepBudgetAdmissionIsIndependentOfQueueDepth) {
   SimulationServer::Options options;
   options.service_threads = 1;
-  options.max_inflight_steps = 5000;  // far below the queue-depth limit
+  // One job-step cap plus 1000: the hog below holds all but 1000 steps
+  // of it, with one job queued — far below the queue-depth limit.
+  options.max_inflight_steps = options.max_job_steps + 1000;
   SimulationServer server(options);
 
   const std::string spin =
       body_of(server.handle(make_request("POST", "/v1/images", kSpinProgram)))
           .get_string("id", "");
+  // A budget the spinner cannot exhaust before the next request: a short
+  // one could resolve first and release its steps.
   const HttpResponse admitted = server.handle(make_request(
       "POST", "/v1/jobs",
-      "{\"image\": \"" + spin + "\", \"max_steps\": 4000, \"slice_steps\": 1000}"));
+      "{\"image\": \"" + spin + "\", \"max_steps\": " + std::to_string(options.max_job_steps) +
+          ", \"slice_steps\": 1000}"));
   ASSERT_EQ(admitted.status, 202);
 
   const HttpResponse rejected = server.handle(
       make_request("POST", "/v1/jobs", "{\"image\": \"" + spin + "\", \"max_steps\": 2000}"));
   EXPECT_EQ(rejected.status, 429);
   EXPECT_EQ(body_of(rejected).get_string("error", ""), "admission_step_budget");
-  EXPECT_EQ(body_of(rejected).get_uint64("max_inflight_steps", 0), 5000u);
+  EXPECT_EQ(body_of(rejected).get_uint64("max_inflight_steps", 0), options.max_inflight_steps);
+
+  const uint64_t hog = body_of(admitted).get_uint64("job", 0);
+  EXPECT_EQ(server.handle(make_request("DELETE", "/v1/jobs/" + std::to_string(hog))).status, 202);
+  (void)await_job(server, hog);
+}
+
+TEST(SimulationServerRoutes, DeadlinePastTheClockRangeIsNoDeadline) {
+  // submit time + 10^13 ms overflows the steady clock's nanosecond count;
+  // the job must complete, not expire before it runs.
+  SimulationServer server;
+  const std::string image =
+      body_of(server.handle(make_request("POST", "/v1/images", kSumProgram)))
+          .get_string("id", "");
+  const HttpResponse submitted = server.handle(make_request(
+      "POST", "/v1/jobs", "{\"image\": \"" + image + "\", \"deadline_ms\": 10000000000000}"));
+  ASSERT_EQ(submitted.status, 202);
+  const json::JsonValue job = await_job(server, body_of(submitted).get_uint64("job", 0));
+  EXPECT_EQ(job.get_string("outcome", ""), "completed");
+  EXPECT_EQ(job.get_uint64("exit_code", 99), 0u);
+}
+
+TEST(SimulationServerRoutes, PaperProgramStateDigestsAreGolden) {
+  // Literal state_digest values of the four paper programs, on both ISAs:
+  // the rv32 source on rv32_superblock and its ART-9 translation on
+  // superblock.  A change to how the digest is computed must keep them.
+  struct Golden {
+    const char* name;
+    const char* rv32;
+    const char* art9;
+  };
+  const Golden kGolden[] = {
+      {"bubble-sort", "1f81167108d50da0", "60701e6a7892f14d"},
+      {"gemm", "51307922ac7ab575", "9b0b643e09466b99"},
+      {"sobel", "aef83f654e392e3f", "a4269ca47c959cd6"},
+      {"dhrystone", "b5b451d93f5b5b58", "59f59ba5a6023410"},
+  };
+  SimulationServer server;
+  const auto digest = [&](const char* format, const char* engine, const std::string& source) {
+    const std::string image =
+        body_of(server.handle(make_request("POST", std::string("/v1/images?format=") + format,
+                                           source)))
+            .get_string("id", "");
+    const HttpResponse submitted = server.handle(make_request(
+        "POST", "/v1/jobs",
+        "{\"image\": \"" + image + "\", \"engine\": \"" + engine + "\"}"));
+    EXPECT_EQ(submitted.status, 202) << format;
+    const json::JsonValue job = await_job(server, body_of(submitted).get_uint64("job", 0));
+    EXPECT_EQ(job.get_string("outcome", ""), "completed") << format;
+    return job.get_string("state_digest", "");
+  };
+  const std::vector<const core::BenchmarkSources*> benchmarks = core::all_benchmarks();
+  ASSERT_EQ(benchmarks.size(), std::size(kGolden));
+  for (std::size_t i = 0; i < benchmarks.size(); ++i) {
+    EXPECT_EQ(benchmarks[i]->name, kGolden[i].name);
+    EXPECT_EQ(digest("rv32", "rv32_superblock", benchmarks[i]->rv32), kGolden[i].rv32)
+        << kGolden[i].name;
+    EXPECT_EQ(digest("rv32_translate", "superblock", benchmarks[i]->rv32), kGolden[i].art9)
+        << kGolden[i].name;
+  }
 }
 
 TEST(SimulationServerE2E, LoopbackResultsBitIdenticalToDirectServiceRuns) {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <vector>
@@ -270,6 +271,17 @@ TEST(SimulationService, MismatchedKindRejectedAtSubmit) {
   SimulationService service(1);
   EXPECT_THROW(service.submit(decode(isa::assemble(batch_programs()[0])), EngineKind::kRv32),
                std::invalid_argument);
+}
+
+TEST(SimulationService, DeadlinePastTheClockRangeIsNoDeadline) {
+  // submit() + deadline overflows the steady clock's nanosecond count;
+  // the job must run to completion, not expire before dispatch.
+  SimulationService service(1);
+  JobControls controls;
+  controls.deadline = std::chrono::milliseconds::max();
+  const JobHandle handle = service.submit(decode(isa::assemble(batch_programs()[0])),
+                                          EngineKind::kFunctional, kBudget, controls);
+  EXPECT_EQ(handle.result().outcome, JobOutcome::kCompleted);
 }
 
 TEST(SimulationService, TranslatedBenchmarkBatchAcrossKinds) {

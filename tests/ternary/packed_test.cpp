@@ -139,6 +139,13 @@ TEST(Packed, AddImmediateMatchesReference) {
       EXPECT_EQ(pk::add_int(ea, imm).decode(), a + Word9::from_int(imm));
     }
   }
+  // Full-range immediates: the one-correction wrap still covers them.
+  std::uniform_int_distribution<int32_t> full_range(pk::kMin, pk::kMax);
+  for (int i = 0; i < 20000; ++i) {
+    const Word9 a = random_word<9>(rng);
+    const int32_t imm = full_range(rng);
+    EXPECT_EQ(pk::add_int(BctWord9::encode(a), imm).decode(), a + Word9::from_int(imm));
+  }
 }
 
 TEST(Packed, WrapReducesDatapathOverflowRange) {
