@@ -505,16 +505,12 @@ std::optional<std::string> check_raw_case(ByteReader& in) {
 // Mode 4 — snapshot codec: mutated blobs must reject-or-round-trip.
 // ===========================================================================
 
-/// Mirror of the codec's trailing FNV-1a 64 (sim/snapshot.cpp): re-stamps
-/// the checksum after a deliberate structural edit so the *field*
-/// validation behind the integrity check is what the case exercises.
+/// Re-stamps the codec's trailing FNV-1a 64 after a deliberate structural
+/// edit so the *field* validation behind the integrity check is what the
+/// case exercises.
 void restamp_checksum(std::vector<uint8_t>& blob) {
   if (blob.size() < 8) return;
-  uint64_t h = 14695981039346656037ULL;
-  for (std::size_t i = 0; i + 8 < blob.size(); ++i) {
-    h ^= blob[i];
-    h *= 1099511628211ULL;
-  }
+  const uint64_t h = sim::fnv1a_64(blob.data(), blob.size() - 8);
   for (int b = 0; b < 8; ++b) {
     blob[blob.size() - 8 + static_cast<std::size_t>(b)] = static_cast<uint8_t>(h >> (8 * b));
   }
@@ -608,6 +604,10 @@ std::optional<std::string> check_snapshot_case(ByteReader& in) {
   std::ostringstream tag;
   tag << (use_rv32 ? "rv32" : "art9") << " seed=" << seed << " split=" << split
       << " strategy=" << int(strategy) << " bytes=" << blob.size() << "->" << mutated.size();
+
+  if (sim::state_digest(snap) != sim::fnv1a_64(blob.data(), blob.size())) {
+    return "state_digest differs from the blob's FNV-1a (" + tag.str() + ")";
+  }
 
   try {
     const sim::MachineState revived = sim::deserialize_snapshot(mutated);

@@ -30,7 +30,8 @@
 //     checksum-re-stamped structural edits, wholly forged bytes), and
 //     demand deserialize_snapshot either throws the precisely named
 //     "snapshot: ..." SimError or accepts a state that is codec-stable
-//     (pristine blobs additionally round-trip bit-identically).
+//     (pristine blobs additionally round-trip bit-identically).  Every
+//     genuine checkpoint's state_digest must equal its blob's FNV-1a.
 //
 // The harness is deliberately libFuzzer-agnostic: fuzz/fuzz_differential.cpp
 // wraps run_fuzz_case as a LLVMFuzzerTestOneInput, and tools/art9_fuzz.cpp

@@ -46,6 +46,53 @@ double percentile(std::vector<double> samples, double p) {
 
 constexpr std::size_t kLatencyWindow = 4096;
 
+/// The fields every job status body starts with.
+JsonObject job_head(uint64_t id, const std::string& image_id, sim::EngineKind kind,
+                    uint64_t max_steps, const char* state) {
+  JsonObject body;
+  body.add("job", id);
+  body.add("image", image_id);
+  body.add("engine", std::string(sim::engine_kind_name(kind)));
+  body.add("max_steps", max_steps);
+  body.add("state", state);
+  return body;
+}
+
+/// Completes a "done" head with the job's result: rendered once, when
+/// the job resolves.
+std::string finished_body(JsonObject body, const sim::JobResult& result) {
+  body.add("outcome", std::string(sim::job_outcome_name(result.outcome)));
+  body.add("exit_code", static_cast<int64_t>(outcome_exit_code(result.outcome)));
+  if (!result.error.empty()) body.add("error", result.error);
+
+  JsonObject stats;
+  stats.add("instructions", result.run.stats.instructions);
+  stats.add("cycles", result.run.stats.cycles);
+  stats.add("halt", std::string(result.run.halt == sim::HaltReason::kHalted ? "halted"
+                                                                            : "max_cycles"));
+  body.add_raw("stats", stats.str());
+
+  // The architectural result, for the deterministic outcomes: a
+  // canonical-snapshot digest (bit-identity is one string compare away)
+  // plus the registers and PC for human consumption.
+  if (result.outcome == sim::JobOutcome::kCompleted ||
+      result.outcome == sim::JobOutcome::kBudgetExhausted) {
+    body.add("state_digest", hex64(sim::state_digest(result.run.state)));
+    if (result.run.state.is_rv32()) {
+      const auto& rv32 = result.run.state.rv32();
+      body.add("pc", static_cast<uint64_t>(rv32.pc));
+      body.add_raw("registers", json::int_array(rv32.regs));
+    } else {
+      const auto& art9 = result.run.state.art9();
+      body.add("pc", static_cast<int64_t>(art9.pc));
+      std::vector<int64_t> regs;
+      for (int r = 0; r < isa::kNumRegisters; ++r) regs.push_back(art9.trf.read(r).to_int());
+      body.add_raw("registers", json::int_array(regs));
+    }
+  }
+  return body.str();
+}
+
 }  // namespace
 
 int outcome_exit_code(sim::JobOutcome outcome) noexcept {
@@ -88,7 +135,7 @@ HttpResponse SimulationServer::handle(const HttpRequest& request) {
   if (path.rfind("/v1/jobs/", 0) == 0) {
     const std::optional<uint64_t> id = parse_id(path.substr(9));
     if (!id) return error_response(404, "unknown_job", "malformed job id");
-    if (request.method == "GET") return get_job(*id);
+    if (request.method == "GET") return job_response(*id, 200);
     if (request.method == "DELETE") return delete_job(*id);
     return error_response(405, "method_not_allowed", "use GET or DELETE");
   }
@@ -197,9 +244,6 @@ HttpResponse SimulationServer::post_job(const HttpRequest& request) {
     // The CLI mirrors the whole budget into the pipeline cap; so do we.
     job.engine.pipeline.max_cycles = max_steps;
     job.control.deadline = std::chrono::milliseconds(doc.get_uint64("deadline_ms", 0));
-    job.control.checkpoint_every = doc.get_uint64("checkpoint_every", 0);
-    job.control.retries = static_cast<unsigned>(doc.get_uint64("retries", 0));
-    job.control.retry_backoff = std::chrono::milliseconds(doc.get_uint64("retry_backoff_ms", 0));
     job.control.slice_steps = doc.get_uint64("slice_steps", 0);
   } catch (const std::exception& e) {
     return error_response(400, "bad_request", e.what());
@@ -252,12 +296,22 @@ HttpResponse SimulationServer::post_job(const HttpRequest& request) {
     return error_response(500, "submit_failed", e.what());
   }
 
-  // Release the admission reservation and record wall latency when the
-  // job resolves.  The callback runs on a worker (or inline if already
-  // resolved) — it takes only the admission mutex, never blocks.
-  handle.on_complete([this, t0, max_steps](const sim::JobResult&) {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    live_jobs_.emplace(id, LiveJob{handle, image_id, kind, max_steps});
+  }
+
+  // When the job resolves: release the admission reservation, record wall
+  // latency, and replace the live record with the rendered body, which
+  // drops the handle and with it the job's MachineState.  The callback
+  // runs on a worker, or inline if the job has already resolved — hence
+  // registered only after the record exists.  It takes only the admission
+  // mutex and never blocks.
+  JsonObject head = job_head(id, image_id, kind, max_steps, "done");
+  handle.on_complete([this, id, t0, max_steps, head](const sim::JobResult& result) {
     const double ms =
         std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
+    std::string body = finished_body(head, result);
     std::lock_guard<std::mutex> lock(mutex_);
     --active_jobs_;
     inflight_steps_ -= max_steps;
@@ -267,101 +321,38 @@ HttpResponse SimulationServer::post_job(const HttpRequest& request) {
       latency_ms_[latency_next_] = ms;
       latency_next_ = (latency_next_ + 1) % kLatencyWindow;
     }
+    live_jobs_.erase(id);
+    finished_jobs_.emplace(id, std::move(body));
+    finished_order_.push_back(id);
+    if (finished_order_.size() > kMaxFinishedJobs) {
+      finished_jobs_.erase(finished_order_.front());
+      finished_order_.pop_front();
+    }
   });
 
-  JobRecord record{handle, image_id, kind, max_steps};
-  std::string body_json;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    jobs_.emplace(id, record);
-  }
-  body_json = job_json(id, record);
-  return HttpResponse{202, "application/json", body_json + "\n", false};
+  return job_response(id, 202);
 }
 
-std::string SimulationServer::job_json(uint64_t id, const JobRecord& record) const {
-  JsonObject body;
-  body.add("job", id);
-  body.add("image", record.image_id);
-  body.add("engine", std::string(sim::engine_kind_name(record.kind)));
-  body.add("max_steps", record.max_steps);
-
-  const bool done = record.handle.ready();
-  body.add("state", std::string(done           ? "done"
-                                : record.handle.started() ? "running"
-                                                          : "queued"));
-  if (!done) return body.str();
-
-  const sim::JobResult& result = record.handle.result();
-  body.add("outcome", std::string(sim::job_outcome_name(result.outcome)));
-  body.add("exit_code", static_cast<int64_t>(outcome_exit_code(result.outcome)));
-  if (!result.error.empty()) body.add("error", result.error);
-  if (result.retries > 0) {
-    body.add("retries", static_cast<uint64_t>(result.retries));
-    body.add("resumed", result.resumed);
+HttpResponse SimulationServer::job_response(uint64_t id, int status) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (const auto done = finished_jobs_.find(id); done != finished_jobs_.end()) {
+    return HttpResponse{status, "application/json", done->second + "\n", false};
   }
-  if (result.checkpoints > 0) body.add("checkpoints", result.checkpoints);
-  if (result.corrupt_checkpoints > 0) body.add("corrupt_checkpoints", result.corrupt_checkpoints);
-
-  JsonObject stats;
-  stats.add("instructions", result.run.stats.instructions);
-  stats.add("cycles", result.run.stats.cycles);
-  stats.add("halt", std::string(result.run.halt == sim::HaltReason::kHalted ? "halted"
-                                                                            : "max_cycles"));
-  body.add_raw("stats", stats.str());
-
-  // The architectural result, for the deterministic outcomes: a
-  // canonical-snapshot digest (bit-identity is one string compare away)
-  // plus the registers and PC for human consumption.
-  if (result.outcome == sim::JobOutcome::kCompleted ||
-      result.outcome == sim::JobOutcome::kBudgetExhausted) {
-    try {
-      const std::vector<uint8_t> blob = sim::serialize_snapshot(result.run.state);
-      body.add("state_digest", hex64(fnv1a_64(blob.data(), blob.size())));
-      if (result.run.state.is_rv32()) {
-        const auto& rv32 = result.run.state.rv32();
-        body.add("pc", static_cast<uint64_t>(rv32.pc));
-        body.add_raw("registers", json::int_array(rv32.regs));
-      } else {
-        const auto& art9 = result.run.state.art9();
-        body.add("pc", static_cast<int64_t>(art9.pc));
-        std::vector<int64_t> regs;
-        for (int r = 0; r < isa::kNumRegisters; ++r) regs.push_back(art9.trf.read(r).to_int());
-        body.add_raw("registers", json::int_array(regs));
-      }
-    } catch (const std::exception&) {
-      // A state that cannot serialize (should not happen) just omits the
-      // digest; outcome and stats still stand.
-    }
+  const auto live = live_jobs_.find(id);
+  if (live == live_jobs_.end()) {
+    return error_response(404, "unknown_job", "no job " + std::to_string(id));
   }
-  return body.str();
-}
-
-HttpResponse SimulationServer::get_job(uint64_t id) {
-  JobRecord record;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = jobs_.find(id);
-    if (it == jobs_.end()) {
-      return error_response(404, "unknown_job", "no job " + std::to_string(id));
-    }
-    record = it->second;
-  }
-  return HttpResponse{200, "application/json", job_json(id, record) + "\n", false};
+  const LiveJob& job = live->second;
+  return json_response(status, job_head(id, job.image_id, job.kind, job.max_steps,
+                                        job.handle.started() ? "running" : "queued"));
 }
 
 HttpResponse SimulationServer::delete_job(uint64_t id) {
-  JobRecord record;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = jobs_.find(id);
-    if (it == jobs_.end()) {
-      return error_response(404, "unknown_job", "no job " + std::to_string(id));
-    }
-    record = it->second;
+    if (const auto it = live_jobs_.find(id); it != live_jobs_.end()) it->second.handle.cancel();
   }
-  record.handle.cancel();
-  return HttpResponse{202, "application/json", job_json(id, record) + "\n", false};
+  return job_response(id, 202);
 }
 
 HttpResponse SimulationServer::get_metrics() {

@@ -6,14 +6,13 @@
 //            body = assembly text -> {"id": <content hash>, ...}
 //            (ImageCache: the pipeline runs once per distinct program)
 //   POST   /v1/jobs   body = {"image", "engine", "max_steps",
-//            "deadline_ms", "checkpoint_every", "retries",
-//            "retry_backoff_ms", "slice_steps"}
+//            "deadline_ms", "slice_steps"}; any other field is ignored
 //            "engine" is any kind name of the image's ISA (art9: lazy |
 //            functional | superblock | fleet | pipeline; rv32: rv32 |
 //            rv32_superblock), defaulting per ISA to the golden model
-//            -> 202 {"job": id}   (or a structured 429 admission reject)
-//   GET    /v1/jobs/{id}    -> status/result JSON; the six JobOutcomes
-//            carry the exact exit codes art9-run maps them to
+//            -> 202 {"job": id, ...}   (or a structured 429 admission reject)
+//   GET    /v1/jobs/{id}    -> status/result JSON; the outcomes carry the
+//            exact exit codes art9-run maps them to
 //   DELETE /v1/jobs/{id}    -> cooperative cancel (idempotent)
 //   GET    /v1/metrics      -> queue depth, admission counters, cache
 //            hit/miss, per-outcome counters, p50/p95 wall latency
@@ -24,13 +23,22 @@
 // queued+running jobs) and the total step budget in flight
 // (max_inflight_steps over the sum of admitted budgets): a request the
 // service cannot take is answered with a structured 429 immediately —
-// never queued unboundedly, never hung.  Per-job isolation is the PR 7
-// outcome taxonomy: a trapping or deadline-blown tenant resolves its own
-// job and nothing else.
+// never queued unboundedly, never hung.  Per-job isolation is the
+// service's outcome taxonomy: a trapping or deadline-blown tenant
+// resolves its own job and nothing else.  The server installs no fault
+// plan and takes no retry or checkpoint controls, so `faulted` never
+// occurs over HTTP.
+//
+// A finished job keeps no machine state: its body (outcome, stats,
+// state_digest, registers) is rendered once when the job resolves, and
+// that string is all GET and DELETE return from then on.  At most
+// kMaxFinishedJobs finished bodies are kept, oldest-finished evicted
+// first; an evicted id answers 404 unknown_job.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -98,8 +106,12 @@ class SimulationServer {
   [[nodiscard]] sim::SimulationService& service() noexcept { return *service_; }
   [[nodiscard]] ImageCache& cache() noexcept { return cache_; }
 
+  /// How many finished job bodies are kept before the oldest is evicted.
+  static constexpr std::size_t kMaxFinishedJobs = 4096;
+
  private:
-  struct JobRecord {
+  /// A job that is still queued or running.
+  struct LiveJob {
     sim::JobHandle handle;
     std::string image_id;
     sim::EngineKind kind = sim::EngineKind::kFunctional;
@@ -108,12 +120,14 @@ class SimulationServer {
 
   HttpResponse post_image(const HttpRequest& request);
   HttpResponse post_job(const HttpRequest& request);
-  HttpResponse get_job(uint64_t id);
   HttpResponse delete_job(uint64_t id);
   HttpResponse get_metrics();
   HttpResponse index() const;
 
-  [[nodiscard]] std::string job_json(uint64_t id, const JobRecord& record) const;
+  /// `id`'s status body under `status`: the stored body once the job has
+  /// finished, else its queued/running head; 404 for an unknown or
+  /// evicted id.
+  [[nodiscard]] HttpResponse job_response(uint64_t id, int status) const;
 
   Options options_;
   ImageCache cache_;
@@ -122,7 +136,9 @@ class SimulationServer {
   // on_complete callbacks that release admission budget during the
   // service's drain-on-destruction still find it alive.
   mutable std::mutex mutex_;
-  std::unordered_map<uint64_t, JobRecord> jobs_;
+  std::unordered_map<uint64_t, LiveJob> live_jobs_;
+  std::unordered_map<uint64_t, std::string> finished_jobs_;  // id -> rendered body
+  std::deque<uint64_t> finished_order_;                      // oldest-finished first
   uint64_t next_job_id_ = 1;
   std::size_t active_jobs_ = 0;       // admitted, not yet resolved
   uint64_t inflight_steps_ = 0;       // sum of admitted budgets

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 #include <variant>
@@ -85,15 +86,15 @@ void resolve(detail::JobState& st, JobResult result) {
   st.cv.notify_all();
 }
 
-/// The last checkpoint a retry may resume from.  Held serialized: the
-/// blob is what travels through FaultState::mutate_checkpoint, and
-/// deserialize-before-adopt is what turns a corrupt blob into a detected
-/// (counted, discarded) one instead of an adopted one.
+/// The last checkpoint a retry may resume from.  A checkpoint travels
+/// serialized through FaultState::mutate_checkpoint, and only the state
+/// deserialized from that blob is kept: deserialize-before-adopt is what
+/// turns a corrupt blob into a detected (counted, discarded) one instead
+/// of an adopted one.
 struct RecoveryPoint {
-  bool valid = false;
-  std::vector<uint8_t> blob;
-  SimStats stats;      // accumulated stats as of the checkpoint
-  uint64_t steps = 0;  // budget steps consumed as of the checkpoint
+  std::optional<MachineState> state;  // none until a checkpoint validates
+  SimStats stats;                     // accumulated stats as of the checkpoint
+  uint64_t steps = 0;                 // budget steps consumed as of the checkpoint
 };
 
 /// Attaches the engine's current architectural state if it can still
@@ -156,11 +157,11 @@ void execute_job(detail::JobState& st) {
     uint64_t steps = 0;
 
     try {
-      if (rp.valid) {
+      if (rp.state) {
         // Resume from the last adopted checkpoint: the image supplies
         // code, the snapshot registers/memory/PC.  Re-executed steps are
         // not double-billed — the budget clock rewinds with the state.
-        engine = make_engine(job.kind, job.image, deserialize_snapshot(rp.blob), job.engine);
+        engine = make_engine(job.kind, job.image, *rp.state, job.engine);
         acc = rp.stats;
         steps = rp.steps;
         res.resumed = true;
@@ -208,9 +209,7 @@ void execute_job(detail::JobState& st) {
           std::vector<uint8_t> blob = serialize_snapshot(engine->checkpoint());
           if (fault) fault->mutate_checkpoint(blob);
           try {
-            (void)deserialize_snapshot(blob);  // validate before adopting
-            rp.valid = true;
-            rp.blob = std::move(blob);
+            rp.state = deserialize_snapshot(blob);  // validate before adopting
             rp.stats = acc;
             rp.steps = steps;
             ++res.checkpoints;

@@ -7,39 +7,49 @@ namespace art9::sim {
 
 namespace {
 
-constexpr char kMagic[8] = {'A', 'R', 'T', '9', 'S', 'N', 'A', 'P'};
+constexpr uint8_t kMagic[8] = {'A', 'R', 'T', '9', 'S', 'N', 'A', 'P'};
 constexpr uint16_t kVersion = 1;
 constexpr uint8_t kIsaArt9 = 0;
 constexpr uint8_t kIsaRv32 = 1;
 
-/// FNV-1a 64 over a byte range — cheap, dependency-free integrity check
-/// (corruption detection, not authentication).
-uint64_t fnv1a(const uint8_t* data, std::size_t size) noexcept {
-  uint64_t h = 14695981039346656037ULL;
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= data[i];
-    h *= 1099511628211ULL;
+/// The one encoder behind serialize_snapshot and state_digest: writes
+/// little-endian fields (the format is fixed regardless of host
+/// endianness), appending them to `out` when one is given and always
+/// folding them into a running FNV-1a 64.
+class Writer {
+ public:
+  explicit Writer(std::vector<uint8_t>* out) : out_(out) {}
+
+  void bytes(const uint8_t* data, std::size_t size) {
+    if (out_ != nullptr) out_->insert(out_->end(), data, data + size);
+    hash_ = fnv1a_64(data, size, hash_);
   }
-  return h;
-}
 
-/// Little-endian appenders: the on-disk format is fixed regardless of
-/// host endianness.
-void put_u16(std::vector<uint8_t>& out, uint16_t v) {
-  out.push_back(static_cast<uint8_t>(v));
-  out.push_back(static_cast<uint8_t>(v >> 8));
-}
+  void u8(uint8_t v) { le(v); }
+  void u16(uint16_t v) { le(v); }
+  void u32(uint32_t v) { le(v); }
+  void u64(uint64_t v) { le(v); }
+  void i16(int16_t v) { le(static_cast<uint16_t>(v)); }
+  void i64(int64_t v) { le(static_cast<uint64_t>(v)); }
 
-void put_u32(std::vector<uint8_t>& out, uint32_t v) {
-  for (int b = 0; b < 4; ++b) out.push_back(static_cast<uint8_t>(v >> (8 * b)));
-}
+  /// Room for `extra` more bytes, so a large span lands in one allocation.
+  void reserve(std::size_t extra) {
+    if (out_ != nullptr) out_->reserve(out_->size() + extra);
+  }
 
-void put_u64(std::vector<uint8_t>& out, uint64_t v) {
-  for (int b = 0; b < 8; ++b) out.push_back(static_cast<uint8_t>(v >> (8 * b)));
-}
+  [[nodiscard]] uint64_t hash() const noexcept { return hash_; }
 
-void put_i16(std::vector<uint8_t>& out, int16_t v) { put_u16(out, static_cast<uint16_t>(v)); }
-void put_i64(std::vector<uint8_t>& out, int64_t v) { put_u64(out, static_cast<uint64_t>(v)); }
+ private:
+  template <typename U>
+  void le(U v) {
+    uint8_t b[sizeof(U)];
+    for (std::size_t i = 0; i < sizeof(U); ++i) b[i] = static_cast<uint8_t>(v >> (8 * i));
+    bytes(b, sizeof(U));
+  }
+
+  std::vector<uint8_t>* out_;
+  uint64_t hash_ = kFnvOffset;
+};
 
 /// Bounds-checked little-endian cursor over the payload bytes.
 class Reader {
@@ -94,13 +104,13 @@ ternary::Word9 word9_of(int16_t value, const char* what) {
   return ternary::Word9::from_int(value);
 }
 
-void put_art9(std::vector<uint8_t>& out, const ArchState& s) {
-  put_i64(out, s.pc);
+void put_art9(Writer& out, const ArchState& s) {
+  out.i64(s.pc);
   for (int i = 0; i < isa::kNumRegisters; ++i) {
-    put_i16(out, static_cast<int16_t>(s.trf.read(i).to_int()));
+    out.i16(static_cast<int16_t>(s.trf.read(i).to_int()));
   }
-  put_u64(out, s.tdm.reads());
-  put_u64(out, s.tdm.writes());
+  out.u64(s.tdm.reads());
+  out.u64(s.tdm.writes());
   // Sparse TDM: only non-zero rows, ascending row order (canonical form —
   // equal states serialize to identical blobs).
   std::vector<std::pair<uint32_t, int16_t>> rows;
@@ -109,10 +119,10 @@ void put_art9(std::vector<uint8_t>& out, const ArchState& s) {
     if (w == ternary::Word9{}) continue;
     rows.emplace_back(static_cast<uint32_t>(row), static_cast<int16_t>(w.to_int()));
   }
-  put_u32(out, static_cast<uint32_t>(rows.size()));
+  out.u32(static_cast<uint32_t>(rows.size()));
   for (const auto& [row, value] : rows) {
-    put_u32(out, row);
-    put_i16(out, value);
+    out.u32(row);
+    out.i16(value);
   }
 }
 
@@ -143,11 +153,12 @@ ArchState read_art9(Reader& in) {
   return s;
 }
 
-void put_rv32(std::vector<uint8_t>& out, const rv32::Rv32ArchState& s) {
-  put_u32(out, s.pc);
-  for (uint32_t r : s.regs) put_u32(out, r);
-  put_u64(out, s.ram.size());
-  for (uint8_t byte : s.ram) out.push_back(byte);
+void put_rv32(Writer& out, const rv32::Rv32ArchState& s) {
+  out.u32(s.pc);
+  for (uint32_t r : s.regs) out.u32(r);
+  out.u64(s.ram.size());
+  out.reserve(s.ram.size() + 8);  // the RAM span, then the checksum
+  out.bytes(s.ram.data(), s.ram.size());
 }
 
 rv32::Rv32ArchState read_rv32(Reader& in) {
@@ -162,28 +173,47 @@ rv32::Rv32ArchState read_rv32(Reader& in) {
   return s;
 }
 
+/// Encodes `state` and its trailing checksum, appending the bytes to
+/// `out` when one is given; returns the FNV-1a 64 of all of them.
+uint64_t encode(const MachineState& state, std::vector<uint8_t>* out) {
+  Writer w(out);
+  w.bytes(kMagic, sizeof(kMagic));
+  w.u16(kVersion);
+  if (state.is_art9()) {
+    w.u8(kIsaArt9);
+    put_art9(w, state.art9());
+  } else {
+    w.u8(kIsaRv32);
+    put_rv32(w, state.rv32());
+  }
+  w.u64(w.hash());
+  return w.hash();
+}
+
 }  // namespace
+
+uint64_t fnv1a_64(const void* data, std::size_t size, uint64_t hash) noexcept {
+  const auto* bytes = static_cast<const uint8_t*>(data);
+  for (std::size_t i = 0; i < size; ++i) {
+    hash ^= bytes[i];
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
+}
 
 std::vector<uint8_t> serialize_snapshot(const MachineState& state) {
   std::vector<uint8_t> out;
-  for (char c : kMagic) out.push_back(static_cast<uint8_t>(c));
-  put_u16(out, kVersion);
-  if (state.is_art9()) {
-    out.push_back(kIsaArt9);
-    put_art9(out, state.art9());
-  } else {
-    out.push_back(kIsaRv32);
-    put_rv32(out, state.rv32());
-  }
-  put_u64(out, fnv1a(out.data(), out.size()));
+  static_cast<void>(encode(state, &out));
   return out;
 }
+
+uint64_t state_digest(const MachineState& state) { return encode(state, nullptr); }
 
 MachineState deserialize_snapshot(const uint8_t* data, std::size_t size) {
   constexpr std::size_t kHeader = sizeof(kMagic) + 2 + 1;
   if (size < kHeader + 8) throw SimError("snapshot: blob too short");
   const uint64_t stored = Reader(data + size - 8, 8).u64();
-  if (stored != fnv1a(data, size - 8)) throw SimError("snapshot: checksum mismatch");
+  if (stored != fnv1a_64(data, size - 8)) throw SimError("snapshot: checksum mismatch");
   Reader in(data, size - 8);
   if (std::memcmp(in.take(sizeof(kMagic)), kMagic, sizeof(kMagic)) != 0) {
     throw SimError("snapshot: bad magic");

@@ -21,6 +21,12 @@
 // rv32 payload: u32 pc, 32 × u32 registers, u64 RAM byte size, then the
 // raw RAM bytes.  The RAM size is part of the state (restore adopts it).
 //
+// state_digest: the FNV-1a 64 of the whole blob, checksum included —
+// fnv1a_64(serialize_snapshot(s)) — computed by the same encoder
+// without materializing the blob.  Equal states have equal digests
+// (the encoding is canonical); art9-serve reports it as the job
+// result's bit-identity witness.
+//
 // Code is deliberately NOT part of a snapshot: a snapshot resumes
 // against the same program image it was taken under (the TIM is
 // immutable — self-modifying code is out of scope repo-wide).
@@ -39,8 +45,18 @@
 
 namespace art9::sim {
 
+/// 64-bit FNV-1a over `size` bytes, continuing from `hash` — the one
+/// definition behind the snapshot checksum, state_digest and the serve
+/// layer's image ids.  Corruption detection, not authentication.
+inline constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;
+[[nodiscard]] uint64_t fnv1a_64(const void* data, std::size_t size,
+                                uint64_t hash = kFnvOffset) noexcept;
+
 /// Serializes `state` (either ISA) into the blob format above.
 [[nodiscard]] std::vector<uint8_t> serialize_snapshot(const MachineState& state);
+
+/// fnv1a_64(serialize_snapshot(state)), without building the blob.
+[[nodiscard]] uint64_t state_digest(const MachineState& state);
 
 /// Parses a blob back into a MachineState.  Throws SimError("snapshot:
 /// ...") naming the violation on any malformed input; a returned state

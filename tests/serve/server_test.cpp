@@ -265,6 +265,95 @@ TEST(SimulationServerRoutes, PaperProgramStateDigestsAreGolden) {
   }
 }
 
+TEST(SimulationServerRoutes, FinishedJobBodyIsRenderedOnce) {
+  SimulationServer server;
+  const std::string image =
+      body_of(server.handle(make_request("POST", "/v1/images", kSumProgram)))
+          .get_string("id", "");
+  const HttpResponse submitted =
+      server.handle(make_request("POST", "/v1/jobs", "{\"image\": \"" + image + "\"}"));
+  ASSERT_EQ(submitted.status, 202);
+  const uint64_t id = body_of(submitted).get_uint64("job", 0);
+  (void)await_job(server, id);
+
+  // Every later GET, and a DELETE of the finished job, return the same bytes.
+  const std::string target = "/v1/jobs/" + std::to_string(id);
+  const HttpResponse first = server.handle(make_request("GET", target));
+  const HttpResponse second = server.handle(make_request("GET", target));
+  EXPECT_EQ(first.status, 200);
+  EXPECT_EQ(second.body, first.body);
+  const HttpResponse deleted = server.handle(make_request("DELETE", target));
+  EXPECT_EQ(deleted.status, 202);
+  EXPECT_EQ(deleted.body, first.body);
+}
+
+TEST(SimulationServerRoutes, RetryAndCheckpointFieldsAreIgnored) {
+  // The server installs no fault plan, so checkpoints and retries could
+  // never act: the fields are ignored like any unknown one.
+  SimulationServer server;
+  const std::string image =
+      body_of(server.handle(make_request("POST", "/v1/images?format=rv32", kRv32Program)))
+          .get_string("id", "");
+  const auto run = [&](const std::string& extra) {
+    const HttpResponse submitted = server.handle(
+        make_request("POST", "/v1/jobs", "{\"image\": \"" + image + "\"" + extra + "}"));
+    EXPECT_EQ(submitted.status, 202);
+    return await_job(server, body_of(submitted).get_uint64("job", 0));
+  };
+  const json::JsonValue plain = run("");
+  const json::JsonValue controlled =
+      run(", \"checkpoint_every\": 1, \"retries\": 3, \"retry_backoff_ms\": 5");
+  EXPECT_EQ(controlled.get_string("outcome", ""), "completed");
+  EXPECT_EQ(controlled.get_string("state_digest", ""), plain.get_string("state_digest", "x"));
+  for (const char* key : {"checkpoints", "corrupt_checkpoints", "retries", "resumed"}) {
+    EXPECT_EQ(controlled.find(key), nullptr) << key;
+  }
+}
+
+TEST(SimulationServerRoutes, OldestFinishedJobIsEvictedPastTheCap) {
+  // One worker resolves jobs in submission order.  To finish cap + 1 of
+  // them cheaply, each round parks a spinner on the worker, queues tiny
+  // jobs behind it and cancels them all, the spinner last: a job
+  // cancelled while queued never runs.  Rounds stay short because every
+  // queued job holds a default MachineState.
+  SimulationServer::Options options;
+  options.service_threads = 1;
+  SimulationServer server(options);
+  const auto upload = [&](const char* source) {
+    return body_of(server.handle(make_request("POST", "/v1/images", source))).get_string("id", "");
+  };
+  const auto target = [](uint64_t id) { return "/v1/jobs/" + std::to_string(id); };
+  const std::string spin = upload(kSpinProgram);
+  const std::string halt = upload("HALT\n");
+  const auto submit = [&](const std::string& image) {
+    const HttpResponse submitted = server.handle(make_request(
+        "POST", "/v1/jobs", "{\"image\": \"" + image + "\", \"slice_steps\": 1000}"));
+    EXPECT_EQ(submitted.status, 202);
+    return body_of(submitted).get_uint64("job", 0);
+  };
+
+  constexpr std::size_t kRound = 128;
+  std::vector<uint64_t> finished;  // in finishing order
+  while (finished.size() <= SimulationServer::kMaxFinishedJobs) {
+    std::vector<uint64_t> round{submit(spin)};
+    while (round.size() < kRound &&
+           finished.size() + round.size() <= SimulationServer::kMaxFinishedJobs) {
+      round.push_back(submit(halt));
+    }
+    for (auto id = round.rbegin(); id != round.rend(); ++id) {
+      ASSERT_EQ(server.handle(make_request("DELETE", target(*id))).status, 202);
+    }
+    EXPECT_EQ(await_job(server, round.back()).get_string("outcome", ""), "cancelled");
+    finished.insert(finished.end(), round.begin(), round.end());
+  }
+
+  const HttpResponse evicted = server.handle(make_request("GET", target(finished.front())));
+  EXPECT_EQ(evicted.status, 404);
+  EXPECT_EQ(body_of(evicted).get_string("error", ""), "unknown_job");
+  EXPECT_EQ(server.handle(make_request("GET", target(finished[1]))).status, 200);
+  EXPECT_EQ(server.handle(make_request("GET", target(finished.back()))).status, 200);
+}
+
 TEST(SimulationServerE2E, LoopbackResultsBitIdenticalToDirectServiceRuns) {
   SimulationServer::Options options;
   options.service_threads = 2;

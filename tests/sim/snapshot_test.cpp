@@ -81,11 +81,7 @@ void expect_same_art9_architecture(const ArchState& got, const ArchState& want,
 /// Re-stamps the trailing FNV-1a checksum after a deliberate edit, so
 /// corruption tests exercise the *structural* validation behind it.
 void restamp(std::vector<uint8_t>& blob) {
-  uint64_t h = 14695981039346656037ULL;
-  for (std::size_t i = 0; i + 8 < blob.size(); ++i) {
-    h ^= blob[i];
-    h *= 1099511628211ULL;
-  }
+  const uint64_t h = fnv1a_64(blob.data(), blob.size() - 8);
   for (int b = 0; b < 8; ++b) blob[blob.size() - 8 + static_cast<std::size_t>(b)] =
       static_cast<uint8_t>(h >> (8 * b));
 }
@@ -320,6 +316,54 @@ TEST(Snapshot, RejectsNonzeroX0) {
   blob[11 + 4] = 1;  // x0's low byte: header(11) + u32 pc
   restamp(blob);
   expect_rejects(blob, "x0");
+}
+
+// ===========================================================================
+// state_digest: the blob's FNV-1a, computed without the blob.
+// ===========================================================================
+
+TEST(StateDigest, Fnv1aMatchesTheReferenceVectors) {
+  EXPECT_EQ(fnv1a_64("", 0), kFnvOffset);
+  EXPECT_EQ(fnv1a_64("a", 1), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(fnv1a_64("foobar", 6), 0x85944171f73967e8ull);
+  // Folding in pieces equals folding the whole.
+  EXPECT_EQ(fnv1a_64("bar", 3, fnv1a_64("foo", 3)), fnv1a_64("foobar", 6));
+}
+
+void expect_digest_is_blob_hash(const MachineState& state) {
+  const std::vector<uint8_t> blob = serialize_snapshot(state);
+  EXPECT_EQ(state_digest(state), fnv1a_64(blob.data(), blob.size()));
+}
+
+TEST(StateDigest, EqualsTheSerializedBlobsHashArt9) {
+  expect_digest_is_blob_hash(MachineState{ArchState{}});
+  expect_digest_is_blob_hash(sample_art9_state());
+
+  // The first and last TDM rows, and every register at a 9-trit extreme.
+  ArchState corners;
+  corners.tdm.poke(-ternary::Word9::kMaxValue, ternary::Word9::from_int(ternary::Word9::kMaxValue));
+  corners.tdm.poke(ternary::Word9::kMaxValue, ternary::Word9::from_int(-ternary::Word9::kMaxValue));
+  corners.tdm.set_counters(~0ull, 1);
+  for (int r = 0; r < isa::kNumRegisters; ++r) {
+    const int64_t extreme = r % 2 == 0 ? ternary::Word9::kMaxValue : -ternary::Word9::kMaxValue;
+    corners.trf.write(r, ternary::Word9::from_int(extreme));
+  }
+  corners.pc = 42;
+  expect_digest_is_blob_hash(MachineState{corners});
+  EXPECT_NE(state_digest(MachineState{corners}), state_digest(MachineState{ArchState{}}));
+}
+
+TEST(StateDigest, EqualsTheSerializedBlobsHashRv32) {
+  for (const std::size_t ram_bytes : {std::size_t{0}, std::size_t{1}, std::size_t{4096},
+                                      std::size_t{1} << 20}) {
+    rv32::Rv32ArchState s;
+    s.pc = 0x80;
+    for (uint32_t r = 1; r < 32; ++r) s.regs[r] = r * 0x9e3779b9u;
+    s.ram.resize(ram_bytes);
+    for (std::size_t i = 0; i < ram_bytes; i += 97) s.ram[i] = static_cast<uint8_t>(i);
+    expect_digest_is_blob_hash(MachineState{s});
+  }
+  expect_digest_is_blob_hash(sample_rv32_state());
 }
 
 // ===========================================================================
